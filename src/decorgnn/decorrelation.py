@@ -160,14 +160,26 @@ def weighted_partial_cov(zi, zj, weights, f_bank: RFFBank | None,
         raise ValueError(f"column lengths differ: {n} vs {zj.size}")
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
-    if n < 2:
-        raise ValueError("need at least two samples")
     w = _weights_array(weights, n)
     wf = w[:, None] * feature_matrix(zi, f_bank)
     wg = w[:, None] * feature_matrix(zj, g_bank)
     a = wf - wf.mean(axis=0)
     b = wg - wg.mean(axis=0)
     return a.T @ b / (n - 1)
+
+
+def dims_kept(d: int, fraction: float) -> int:
+    """How many of d dimensions sample_pairs pairs up; fewer than two is a
+    domain error."""
+    if d < 2:
+        raise ValueError(f"need d >= 2 dimensions, got {d}")
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError(f"fraction must lie in (0, 1], got {fraction}")
+    keep = int(np.ceil(fraction * d))
+    if keep < 2:
+        raise ValueError(
+            f"fraction {fraction} of {d} dims keeps {keep} < 2 dimensions")
+    return keep
 
 
 def sample_pairs(d: int, fraction: float, rng) -> list[tuple[int, int]]:
@@ -178,17 +190,10 @@ def sample_pairs(d: int, fraction: float, rng) -> list[tuple[int, int]]:
     sample; fewer than two surviving dimensions is a domain error.
     """
     COUNTERS["sample_pairs"] += 1
-    if d < 2:
-        raise ValueError(f"need d >= 2 dimensions, got {d}")
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"fraction must lie in (0, 1], got {fraction}")
+    keep = dims_kept(d, fraction)
     if fraction == 1.0:
         dims = np.arange(d)
     else:
-        keep = int(np.ceil(fraction * d))
-        if keep < 2:
-            raise ValueError(
-                f"fraction {fraction} of {d} dims keeps {keep} < 2 dimensions")
         rng = np.random.default_rng(rng)
         dims = np.sort(rng.choice(d, size=keep, replace=False))
     return [(int(dims[a]), int(dims[b]))
@@ -214,12 +219,22 @@ def _flat_maps(z: np.ndarray, banks) -> tuple[np.ndarray, np.ndarray, int]:
 
 
 def _pair_mask(pairs, d: int, q: int) -> np.ndarray:
-    mask = np.zeros((d * q, d * q))
+    select = np.zeros((d, d))
     for i, j in pairs:
         if not 0 <= i < j < d:
             raise ValueError(f"pair ({i}, {j}) invalid for d={d}")
-        mask[i * q:(i + 1) * q, j * q:(j + 1) * q] = 1.0
-    return mask
+        select[i, j] = 1.0
+    return np.kron(select, np.ones((q, q)))
+
+
+def _setup(z, weights, banks, pairs):
+    """Validated weights, stacked f/g maps and pair mask for one objective."""
+    z = np.asarray(z, dtype=np.float64)
+    if z.ndim != 2 or z.shape[0] < 2:
+        raise ValueError(f"representations must be [N>=2 x d], got {z.shape}")
+    w = _weights_array(weights, z.shape[0])
+    f_flat, g_flat, q = _flat_maps(z, banks)
+    return w, f_flat, g_flat, _pair_mask(pairs, z.shape[1], q)
 
 
 def _objective_core(f_flat, g_flat, w, mask, want_grad: bool, l2_lambda: float):
@@ -247,12 +262,7 @@ def decorrelation_objective(z, weights, banks, pairs) -> float:
     """Sum over pairs (i, j) of the squared Frobenius norm of the weighted
     partial cross-covariance between mapped columns i and j."""
     COUNTERS["decorrelation_objective"] += 1
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 2 or z.shape[0] < 2:
-        raise ValueError(f"representations must be [N>=2 x d], got {z.shape}")
-    w = _weights_array(weights, z.shape[0])
-    f_flat, g_flat, q = _flat_maps(z, banks)
-    mask = _pair_mask(pairs, z.shape[1], q)
+    w, f_flat, g_flat, mask = _setup(z, weights, banks, pairs)
     objective, _ = _objective_core(f_flat, g_flat, w, mask, False, 0.0)
     return objective
 
@@ -261,21 +271,16 @@ def objective_grad_weights(z, weights, banks, pairs,
                            l2_lambda: float = 0.0) -> np.ndarray:
     """Exact gradient of decorrelation_objective + l2_lambda * ||w||^2 in w."""
     COUNTERS["objective_grad_weights"] += 1
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 2 or z.shape[0] < 2:
-        raise ValueError(f"representations must be [N>=2 x d], got {z.shape}")
-    w = _weights_array(weights, z.shape[0])
-    f_flat, g_flat, q = _flat_maps(z, banks)
-    mask = _pair_mask(pairs, z.shape[1], q)
+    w, f_flat, g_flat, mask = _setup(z, weights, banks, pairs)
     _, grad = _objective_core(f_flat, g_flat, w, mask, True, l2_lambda)
     return grad
 
 
 def project_weights(w: np.ndarray, total: float | None = None,
-                    floor: float = W_MIN, free=None) -> np.ndarray:
-    """Clamp weights to >= floor, then rescale so they sum to ``total``.
+                    free=None) -> np.ndarray:
+    """Clamp weights to >= W_MIN, then rescale so they sum to ``total``.
 
-    Rescaling can push just-clamped entries back under the floor, so the
+    Rescaling can push just-clamped entries back under W_MIN, so the
     clamp-and-rescale cycle repeats on the still-adjustable entries until
     both constraints hold; one pass suffices in the common case. Entries
     outside ``free`` are treated as constants and never move.
@@ -288,21 +293,23 @@ def project_weights(w: np.ndarray, total: float | None = None,
     if idx.size == 0:
         return w
     target = total - float(w[~free_mask].sum())
-    if target < floor * idx.size - 1e-12:
+    if target < W_MIN * idx.size - 1e-12:
         raise OptimizationError(
-            f"cannot reach sum {target} with {idx.size} weights floored at {floor}")
-    vals = np.maximum(w[idx], floor)
+            f"cannot reach sum {target} with {idx.size} weights floored at {W_MIN}")
+    vals = np.maximum(w[idx], W_MIN)
     for _ in range(idx.size):
-        above = vals > floor
+        above = vals > W_MIN
         if not above.any():
-            vals[:] = target / idx.size
+            # target may sit below W_MIN * size by the roundoff the
+            # feasibility check allows
+            vals[:] = max(target / idx.size, W_MIN)
             break
-        pinned = floor * float(np.count_nonzero(~above))
+        pinned = W_MIN * float(np.count_nonzero(~above))
         scaled = vals[above] * ((target - pinned) / vals[above].sum())
-        if scaled.min() >= floor:
+        if scaled.min() >= W_MIN:
             vals[above] = scaled
             break
-        vals[above] = np.maximum(scaled, floor)
+        vals[above] = np.maximum(scaled, W_MIN)
     w[idx] = vals
     return w
 
@@ -328,15 +335,14 @@ def optimize_weights(z, w0: WeightVector, cfg: ReweightConfig, *,
     """
     COUNTERS["optimize_weights"] += 1
     z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 2 or z.shape[1] < 2:
-        raise ValueError(f"representations must be [N x d>=2], got {z.shape}")
+    if z.ndim != 2:
+        raise ValueError(f"representations must be [N x d], got {z.shape}")
     n, d = z.shape
-    w = _weights_array(w0, n).copy()
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
     banks = sample_banks(d, cfg.q, rng, linear=linear)
     pairs = sample_pairs(d, cfg.pair_fraction, rng)
-    f_flat, g_flat, q = _flat_maps(z, banks)
-    mask = _pair_mask(pairs, d, q)
+    w, f_flat, g_flat, mask = _setup(z, w0, banks, pairs)
+    w = w.copy()
 
     history = []
     for step in range(cfg.epochs_reweight):

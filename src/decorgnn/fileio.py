@@ -64,12 +64,17 @@ def load_manifest(path) -> dict[str, np.ndarray]:
                 raise DataFormatError(f"{path}:{lineno}: expected name/rows/cols/values record")
             name, rows, cols = record["name"], record["rows"], record["cols"]
             values = record["values"]
-            if not isinstance(rows, int) or not isinstance(cols, int) or rows < 1 or cols < 1:
+            if not isinstance(name, str):
+                raise DataFormatError(f"{path}:{lineno}: name must be a string")
+            if type(rows) is not int or type(cols) is not int or rows < 1 or cols < 1:
                 raise DataFormatError(f"{path}:{lineno}: bad shape {rows}x{cols}")
-            if len(values) != rows * cols:
+            if not isinstance(values, list) or len(values) != rows * cols:
                 raise DataFormatError(
-                    f"{path}:{lineno}: {rows}x{cols} needs {rows * cols} values, got {len(values)}")
+                    f"{path}:{lineno}: {rows}x{cols} needs a list of {rows * cols} values")
             if name in arrays:
                 raise DataFormatError(f"{path}:{lineno}: duplicate parameter {name!r}")
-            arrays[name] = np.asarray(values, dtype=np.float64).reshape(rows, cols)
+            try:
+                arrays[name] = np.asarray(values, dtype=np.float64).reshape(rows, cols)
+            except (TypeError, ValueError, OverflowError):
+                raise DataFormatError(f"{path}:{lineno}: values must be numbers") from None
     return arrays

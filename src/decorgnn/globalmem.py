@@ -95,28 +95,28 @@ def momentum_update(memory: GlobalMemory, z_local: np.ndarray,
         memory.w_groups[k] = gamma * memory.w_groups[k] + (1.0 - gamma) * w_local
 
 
-def memory_arrays(memory: GlobalMemory, prefix: str = "memory") -> dict:
+def memory_arrays(memory: GlobalMemory) -> dict:
     """Flatten the memory into named matrices for a checkpoint manifest."""
-    arrays = {f"{prefix}.gammas": np.asarray(memory.gammas).reshape(1, -1)}
+    arrays = {"memory.gammas": np.asarray(memory.gammas).reshape(1, -1)}
     for k in range(memory.k_groups):
-        arrays[f"{prefix}.group{k}.z"] = memory.z_groups[k]
-        arrays[f"{prefix}.group{k}.w"] = memory.w_groups[k].reshape(1, -1)
+        arrays[f"memory.group{k}.z"] = memory.z_groups[k]
+        arrays[f"memory.group{k}.w"] = memory.w_groups[k].reshape(1, -1)
     return arrays
 
 
-def restore_memory(arrays: dict, k: int, batch_size: int, d: int,
-                   prefix: str = "memory") -> GlobalMemory:
+def restore_memory(arrays: dict, k: int, batch_size: int,
+                   d: int) -> GlobalMemory:
     """Rebuild a memory from manifest arrays, validating every shape."""
-    gammas = arrays[f"{prefix}.gammas"].reshape(-1)
+    gammas = arrays["memory.gammas"].reshape(-1)
     if gammas.size != k:
         raise DimensionError(f"expected {k} momentum values, got {gammas.size}")
     z_groups, w_groups = [], []
     for idx in range(k):
-        z = arrays[f"{prefix}.group{idx}.z"]
+        z = arrays[f"memory.group{idx}.z"]
         if z.shape != (batch_size, d):
             raise DimensionError(
                 f"stored block {idx} has shape {z.shape}, expected {(batch_size, d)}")
         z_groups.append(z)
-        w_groups.append(arrays[f"{prefix}.group{idx}.w"].reshape(-1))
+        w_groups.append(arrays[f"memory.group{idx}.w"].reshape(-1))
     return GlobalMemory(k, batch_size, z_groups, w_groups,
                         tuple(float(g) for g in gammas))

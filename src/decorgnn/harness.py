@@ -88,6 +88,9 @@ class TrainConfig:
         for gamma in self.gammas:
             if not 0.0 <= gamma < 1.0:
                 raise ValueError(f"momentum must lie in [0, 1), got {gamma}")
+        # bad reweighting settings fail here, before any data is read
+        self.reweight_config()
+        dc.dims_kept(self.hidden_dim, self.pair_fraction)
 
     def reweight_config(self) -> dc.ReweightConfig:
         return dc.ReweightConfig(
@@ -207,8 +210,8 @@ def _reweight_batch(z_value, cfg, memory, epoch, batch_idx, stats):
     return w_new, result.objectives[-1]
 
 
-def train(train_set: Dataset, test_set: Dataset, cfg: TrainConfig,
-          telemetry=None) -> tuple[enc.Model, RunReport]:
+def train(train_set: Dataset, test_set: Dataset,
+          cfg: TrainConfig) -> tuple[enc.Model, RunReport]:
     """Run one training configuration and report per-epoch progress.
 
     The last short batch of an epoch is kept when no memory is configured
@@ -283,8 +286,6 @@ def train(train_set: Dataset, test_set: Dataset, cfg: TrainConfig,
             test_acc=evaluate(model, test_set),
         )
         records.append(record)
-        if telemetry is not None:
-            telemetry(record)
 
     report = RunReport(
         config=cfg.as_dict(),
@@ -334,6 +335,8 @@ def load_results(path) -> tuple[list, dict]:
                 row = json.loads(line)
             except json.JSONDecodeError as err:
                 raise DataFormatError(f"{path}:{lineno}: {err}") from err
+            if not isinstance(row, dict):
+                raise DataFormatError(f"{path}:{lineno}: expected a JSON object")
             if row.get("kind") == "summary":
                 summary = row
             else:
@@ -361,46 +364,34 @@ def save_checkpoint(path, model: enc.Model, memory=None) -> None:
 
 
 def load_checkpoint(path):
-    """Rebuild (model, memory or None) from a manifest, validating shapes."""
+    """Rebuild (model, memory or None) from a manifest.
+
+    The parameter layout comes from the encoder: the depth and the widths
+    read from ``encoder.layer{i}.w1`` and ``classifier.w`` build a template
+    with ``init_encoder`` and ``init_classifier``, and every entry of its
+    ``named_parameters`` must be present with the template's shape.
+    Non-finite values raise NonFiniteError.
+    """
     arrays = load_manifest(path)
     num_layers = 0
     while f"encoder.layer{num_layers}.w1" in arrays:
         num_layers += 1
     if num_layers == 0 or "classifier.w" not in arrays:
         raise DataFormatError(f"{path}: not a model checkpoint")
-
-    layers = []
-    hidden = arrays["encoder.layer0.w1"].shape[1]
-    for i in range(num_layers):
-        group = {}
-        for part in ("eps", "w1", "b1", "w2", "b2"):
-            name = f"encoder.layer{i}.{part}"
-            if name not in arrays:
-                raise DataFormatError(f"{path}: missing {name}")
-            group[part] = arrays[name]
-        in_dim = arrays["encoder.layer0.w1"].shape[0] if i == 0 else hidden
-        expected = {"eps": (1, 1), "w1": (in_dim, hidden),
-                    "b1": (1, hidden), "w2": (hidden, hidden),
-                    "b2": (1, hidden)}
-        for part, shape in expected.items():
-            if group[part].shape != shape:
-                raise DataFormatError(
-                    f"{path}: encoder.layer{i}.{part} has shape "
-                    f"{group[part].shape}, expected {shape}")
-        layers.append(enc.GINLayer(**{k: nc.Tensor(v)
-                                      for k, v in group.items()}))
-
-    cw, cb = arrays["classifier.w"], arrays["classifier.b"]
-    if cw.shape[0] != hidden or cb.shape != (1, cw.shape[1]):
-        raise DataFormatError(
-            f"{path}: classifier shapes {cw.shape}/{cb.shape} do not match "
-            f"hidden width {hidden}")
+    in_dim, hidden = arrays["encoder.layer0.w1"].shape
+    rng = np.random.default_rng(0)
     model = enc.Model(
-        encoder=enc.EncoderParams(
-            input_dim=arrays["encoder.layer0.w1"].shape[0],
-            hidden_dim=hidden, layers=layers),
-        classifier=enc.ClassifierParams(w=nc.Tensor(cw), b=nc.Tensor(cb)),
-    )
+        encoder=enc.init_encoder(in_dim, hidden, num_layers, rng),
+        classifier=enc.init_classifier(
+            hidden, arrays["classifier.w"].shape[1], rng))
+    for name, tensor in enc.named_parameters(model).items():
+        if name not in arrays:
+            raise DataFormatError(f"{path}: missing {name}")
+        if arrays[name].shape != tensor.shape:
+            raise DataFormatError(
+                f"{path}: {name} has shape {arrays[name].shape}, "
+                f"expected {tensor.shape}")
+        tensor.value = nc.Tensor(arrays[name]).value
 
     memory = None
     if "memory.gammas" in arrays:
@@ -413,8 +404,7 @@ def load_checkpoint(path):
     return model, memory
 
 
-def probe_learning_rate(train_set: Dataset, cfg: TrainConfig,
-                        candidates=ALLOWED_LRS) -> float:
+def probe_learning_rate(train_set: Dataset, cfg: TrainConfig) -> float:
     """Pick a learning rate by short uniform-weight runs on a held-out slice.
 
     The probe trains on 90% of the training split and scores accuracy on
@@ -427,13 +417,11 @@ def probe_learning_rate(train_set: Dataset, cfg: TrainConfig,
     n_val = max(1, int(round(PROBE_HOLDOUT * len(order))))
     val_graphs = [train_set.graphs[i] for i in order[:n_val]]
     fit_graphs = [train_set.graphs[i] for i in order[n_val:]]
-    fit = Dataset(fit_graphs, train_set.num_classes, train_set.feature_dim,
-                  train_set.task_kind)
-    val = Dataset(val_graphs, train_set.num_classes, train_set.feature_dim,
-                  train_set.task_kind)
+    fit = Dataset(fit_graphs, train_set.num_classes, train_set.feature_dim)
+    val = Dataset(val_graphs, train_set.num_classes, train_set.feature_dim)
 
-    best_lr, best_acc = candidates[0], -1.0
-    for lr in candidates:
+    best_lr, best_acc = ALLOWED_LRS[0], -1.0
+    for lr in ALLOWED_LRS:
         probe_cfg = TrainConfig(
             mode="baseline_uniform", hidden_dim=cfg.hidden_dim,
             num_layers=cfg.num_layers, batch_size=cfg.batch_size, lr=lr,

@@ -62,12 +62,21 @@ def test_train_rejects_unknown_key(data_file, tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
-def test_train_rejects_bad_values(data_file, tmp_path):
+def test_train_rejects_bad_values(data_file, tmp_path, capsys):
     base = ["train", "--data", str(data_file),
             "--results", str(tmp_path / "r.jsonl")]
     assert cli.main(base + ["lr=0.5"]) == 1          # not an allowed rate
     assert cli.main(base + ["epochs=ten"]) == 1      # not a number
     assert cli.main(base + ["epochs"]) == 1          # missing '='
+    # reweighting settings are checked when the config is built, in every
+    # mode, before any data is read
+    for bad in (["lr_w=0"], ["lr_w=0", "mode=baseline_uniform"], ["q=0"],
+                ["pair_fraction=2"], ["hidden_dim=2", "pair_fraction=0.3"]):
+        capsys.readouterr()
+        assert cli.main(base + bad) == 1, bad
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+    assert not (tmp_path / "r.jsonl").exists()
 
 
 def test_train_missing_data_file_exits_2(tmp_path):
@@ -76,12 +85,17 @@ def test_train_missing_data_file_exits_2(tmp_path):
     assert code == 2
 
 
-def test_train_corrupt_data_file_exits_2(tmp_path):
+def test_train_corrupt_data_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
-    bad.write_text("{broken\n")
-    code = cli.main(["train", "--data", str(bad),
-                     "--results", str(tmp_path / "r.jsonl")])
-    assert code == 2
+    for text in ("{broken\n",
+                 '{"n": 2, "edges": null, "x": [[1.0], [0.0]], "y": 0}\n'):
+        bad.write_text(text)
+        code = cli.main(["train", "--data", str(bad),
+                         "--results", str(tmp_path / "r.jsonl")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and f"{bad}:1" in err
+        assert err.count("\n") == 1
 
 
 def test_divergence_exits_3(data_file, tmp_path, monkeypatch, capsys):
@@ -121,8 +135,15 @@ def test_report_histogram_refused_for_uniform_runs(data_file, tmp_path,
                      "--histogram"]) == 1
 
 
-def test_report_missing_file_exits_2(tmp_path):
+def test_report_missing_file_exits_2(tmp_path, capsys):
     assert cli.main(["report", "--results", str(tmp_path / "no.jsonl")]) == 2
+    results = tmp_path / "run.jsonl"
+    results.write_text('{"kind": "epoch", "epoch": 0}\n[1, 2]\n')
+    capsys.readouterr()
+    assert cli.main(["report", "--results", str(results)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and f"{results}:2" in err
+    assert err.count("\n") == 1
 
 
 def test_experiment_command_runs_and_summarizes(tmp_path, capsys):

@@ -214,6 +214,14 @@ def test_load_results_requires_summary(tmp_path):
         hn.load_results(path)
 
 
+def test_load_results_rejects_lines_that_are_not_objects(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    for line in ("[1, 2]", "5", '"s"'):
+        path.write_text('{"kind": "epoch", "epoch": 0}\n' + line + "\n")
+        with pytest.raises(DataFormatError, match="bad.jsonl:2"):
+            hn.load_results(path)
+
+
 def test_weight_histogram_covers_all_weights(size_split):
     train_set, test_set = size_split
     _, report = hn.train(train_set, test_set, small_cfg())
@@ -260,15 +268,42 @@ def test_checkpoint_rejects_bad_shapes(size_split, tmp_path):
     model, _ = hn.train(train_set, test_set, small_cfg(epochs=1))
     path = tmp_path / "model.jsonl"
     hn.save_checkpoint(path, model)
-    arrays = load_manifest(path)
-    arrays["encoder.layer0.b1"] = np.zeros((1, 3))
     bad = tmp_path / "bad.jsonl"
+    in_dim = train_set.feature_dim
+    for name, value in [("encoder.layer0.b1", np.zeros((1, 3))),
+                        ("classifier.b", None),
+                        ("encoder.layer1.b2", None),
+                        ("encoder.layer1.w1", np.zeros((in_dim, 16)))]:
+        arrays = load_manifest(path)
+        if value is None:
+            del arrays[name]
+        else:
+            arrays[name] = value
+        save_manifest(bad, arrays)
+        with pytest.raises(DataFormatError, match=name):
+            hn.load_checkpoint(bad)
+    arrays = load_manifest(path)
+    arrays["encoder.layer1.w2"][2, 3] = np.nan
     save_manifest(bad, arrays)
-    with pytest.raises(DataFormatError, match="encoder.layer0.b1"):
+    with pytest.raises(nc.NonFiniteError):
         hn.load_checkpoint(bad)
     save_manifest(bad, {"unrelated": np.zeros((1, 1))})
     with pytest.raises(DataFormatError, match="not a model checkpoint"):
         hn.load_checkpoint(bad)
+
+
+def test_load_manifest_rejects_malformed_records(tmp_path):
+    from decorgnn.fileio import load_manifest
+    path = tmp_path / "bad.jsonl"
+    good = {"name": "a", "rows": 1, "cols": 1, "values": [1.0]}
+    for field, value in [("values", 5), ("values", ["x"]), ("rows", True),
+                         ("values", [[1.0, 2.0]]), ("name", [1]),
+                         ("values", [10 ** 400])]:
+        path.write_text(json.dumps(good) + "\n"
+                        + json.dumps({**good, "name": "b", field: value})
+                        + "\n")
+        with pytest.raises(DataFormatError, match="bad.jsonl:2"):
+            load_manifest(path)
 
 
 def test_probe_learning_rate_returns_allowed_value(size_split):
