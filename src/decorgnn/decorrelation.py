@@ -196,8 +196,8 @@ def sample_pairs(d: int, fraction: float, rng) -> list[tuple[int, int]]:
     else:
         rng = np.random.default_rng(rng)
         dims = np.sort(rng.choice(d, size=keep, replace=False))
-    return [(int(dims[a]), int(dims[b]))
-            for a in range(dims.size) for b in range(a + 1, dims.size)]
+    a, b = np.triu_indices(dims.size, k=1)
+    return list(zip(dims[a].tolist(), dims[b].tolist()))
 
 
 def _flat_maps(z: np.ndarray, banks) -> tuple[np.ndarray, np.ndarray, int]:

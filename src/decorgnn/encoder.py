@@ -7,10 +7,12 @@ output). Graph representations are sums of final node states. Everything
 runs on the reverse-mode tape from numcore, so one backward call yields
 gradients for all layer parameters and the classifier.
 
-Batches are encoded as one disjoint union: node features are stacked, edge
-endpoints offset per graph, and per-graph sums taken over contiguous node
-segments. This keeps the per-batch cost at O(total nodes + total edges)
-matrix work instead of one tape per graph.
+Batches are encoded as one disjoint union: node features are stacked and
+per-graph sums taken over contiguous node segments, so a batch needs one
+tape, not one per graph. Neighbour sums multiply dense 0/1 adjacency
+stacks, one per node count in the batch, built from each graph's cached
+edge array. A layer's aggregation then costs Σ n_g²·d over the batch's
+graphs, on top of the O(total nodes · d²) MLP matmuls.
 """
 
 from __future__ import annotations
@@ -102,42 +104,58 @@ def named_parameters(model: Model) -> dict:
 
 
 class _UnionIndex:
-    """Precomputed gather/segment structure for one disjoint union of graphs.
+    """Per-batch structure for one disjoint union of graphs.
 
-    ``neighbor`` applies the union's symmetric adjacency to an [N × d] state
-    matrix; since the adjacency is symmetric the same routine is its own
-    transpose, so forward and backward share the structure. ``pool`` sums
-    rows over the contiguous per-graph segments.
+    The union's graphs are grouped by node count. For each count n present,
+    the cached edge arrays of the c graphs with n nodes are scattered into
+    one [c × n × n] 0/1 adjacency stack, kept with the c·n union rows those
+    graphs occupy. ``neighbor`` multiplies each stack into its rows, so it
+    costs Σ n_g²·d per call and pads no graph to the batch's largest. The
+    union's adjacency is symmetric, so ``neighbor`` is its own transpose and
+    serves forward and backward alike. ``pool`` sums rows over the
+    contiguous per-graph segments.
     """
 
     def __init__(self, graphs):
-        sizes = [g.num_nodes for g in graphs]
-        offsets = np.cumsum([0] + sizes)
+        sizes = np.array([g.num_nodes for g in graphs], dtype=np.intp)
+        offsets = np.concatenate(([0], np.cumsum(sizes)))
         self.num_nodes = int(offsets[-1])
-        self.sizes = np.asarray(sizes)
+        self.sizes = sizes
         self.seg_starts = offsets[:-1]
 
-        directed = []
-        for g, off in zip(graphs, offsets):
-            for u, v in g.edges:
-                directed.append((u + off, v + off))
-                directed.append((v + off, u + off))
-        if directed:
-            pairs = np.asarray(directed)
-            order = np.argsort(pairs[:, 1], kind="stable")
-            dst_sorted = pairs[order, 1]
-            self.gather = pairs[order, 0]
-            # one reduceat segment per distinct destination node
-            boundary = np.flatnonzero(np.diff(dst_sorted)) + 1
-            self.starts = np.concatenate(([0], boundary))
-            self.targets = dst_sorted[self.starts]
-        else:
-            self.gather = None
+        order = np.argsort(sizes, kind="stable")
+        n_sorted = sizes[order]
+        # union rows of the graphs in size order, and where each graph starts
+        row_starts = np.concatenate(([0], np.cumsum(n_sorted)))
+        rows = (np.repeat(offsets[order] - row_starts[:-1], n_sorted)
+                + np.arange(self.num_nodes))
+
+        # the stacks share one flat buffer; the i-th graph in size order has
+        # its n×n block at blocks[i]
+        blocks = np.concatenate(([0], np.cumsum(n_sorted * n_sorted)))
+        flat = np.zeros(int(blocks[-1]))
+        edges = [graphs[i].edge_array for i in order]
+        counts = [len(e) for e in edges]
+        u, v = np.concatenate(edges).T
+        base = np.repeat(blocks[:-1], counts)
+        n = np.repeat(n_sorted, counts)
+        flat[base + u * n + v] = 1.0
+        flat[base + v * n + u] = 1.0
+
+        self.stacks = []    # (union rows, n, [c × n × n] adjacency)
+        bounds = np.concatenate(
+            ([0], np.flatnonzero(np.diff(n_sorted)) + 1, [len(graphs)]))
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            n = int(n_sorted[lo])
+            self.stacks.append((
+                rows[row_starts[lo]:row_starts[hi]], n,
+                flat[blocks[lo]:blocks[hi]].reshape(hi - lo, n, n)))
 
     def neighbor(self, h: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(h)
-        if self.gather is not None:
-            out[self.targets] = np.add.reduceat(h[self.gather], self.starts, axis=0)
+        out = np.empty_like(h)
+        d = h.shape[1]
+        for rows, n, adj in self.stacks:
+            out[rows] = (adj @ h[rows].reshape(-1, n, d)).reshape(-1, d)
         return out
 
     def pool(self, h: np.ndarray) -> np.ndarray:

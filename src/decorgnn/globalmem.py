@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fileio import DataFormatError
 from .numcore import DimensionError
 
 
@@ -106,17 +107,25 @@ def memory_arrays(memory: GlobalMemory) -> dict:
 
 def restore_memory(arrays: dict, k: int, batch_size: int,
                    d: int) -> GlobalMemory:
-    """Rebuild a memory from manifest arrays, validating every shape."""
-    gammas = arrays["memory.gammas"].reshape(-1)
+    """Rebuild a memory from manifest arrays, validating every shape.
+
+    A missing entry raises DataFormatError naming it.
+    """
+    def entry(name):
+        if name not in arrays:
+            raise DataFormatError(f"missing {name}")
+        return arrays[name]
+
+    gammas = entry("memory.gammas").reshape(-1)
     if gammas.size != k:
         raise DimensionError(f"expected {k} momentum values, got {gammas.size}")
     z_groups, w_groups = [], []
     for idx in range(k):
-        z = arrays[f"memory.group{idx}.z"]
+        z = entry(f"memory.group{idx}.z")
         if z.shape != (batch_size, d):
             raise DimensionError(
                 f"stored block {idx} has shape {z.shape}, expected {(batch_size, d)}")
         z_groups.append(z)
-        w_groups.append(arrays[f"memory.group{idx}.w"].reshape(-1))
+        w_groups.append(entry(f"memory.group{idx}.w").reshape(-1))
     return GlobalMemory(k, batch_size, z_groups, w_groups,
                         tuple(float(g) for g in gammas))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -59,6 +60,17 @@ class Graph:
             raise DatasetError("features contain non-finite entries")
         if self.label < 0:
             raise DatasetError(f"label must be nonnegative, got {self.label}")
+
+    @cached_property
+    def edge_array(self) -> np.ndarray:
+        """The canonical edges as a read-only [E × 2] integer array.
+
+        Built on first use and kept with the graph, whose structure never
+        changes; the encoder scatters it into each batch's adjacency.
+        """
+        arr = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
+        arr.setflags(write=False)
+        return arr
 
 
 @dataclass(frozen=True, eq=False)

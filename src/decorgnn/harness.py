@@ -40,6 +40,10 @@ PROBE_EPOCHS = 12
 PROBE_HOLDOUT = 0.1
 EVAL_CHUNK = 64
 VOLATILE_FIELDS = ("wall_seconds", "timestamp")
+# summary fields `decorgnn report` prints; load_results checks them
+_CONFIG_FIELDS = ("mode", "seed", "lr")
+_SUMMARY_FIELDS = ("epochs_run", "final_train_acc", "final_test_acc",
+                   "constraint_checks", "constraint_violations")
 
 # seed-stream tags: one disjoint substream per concern
 _STREAM_INIT = 101
@@ -325,7 +329,10 @@ def write_results(path, report: RunReport) -> None:
 
 
 def load_results(path) -> tuple[list, dict]:
-    """Parse a results file back into (epoch records, summary)."""
+    """Parse a results file back into (epoch records, summary).
+
+    The summary must carry every field ``decorgnn report`` prints.
+    """
     records, summary = [], None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -343,6 +350,16 @@ def load_results(path) -> tuple[list, dict]:
                 records.append(row)
     if summary is None:
         raise DataFormatError(f"{path}: missing summary line")
+    config = summary.get("config")
+    if not isinstance(config, dict):
+        raise DataFormatError(f"{path}: summary config is missing or not an object")
+    missing = ([f"config.{k}" for k in _CONFIG_FIELDS if k not in config]
+               + [k for k in _SUMMARY_FIELDS if k not in summary])
+    if missing:
+        raise DataFormatError(f"{path}: summary lacks {', '.join(missing)}")
+    for field in ("final_train_acc", "final_test_acc"):
+        if type(summary[field]) not in (int, float):
+            raise DataFormatError(f"{path}: summary {field} is not a number")
     return records, summary
 
 
@@ -393,14 +410,16 @@ def load_checkpoint(path):
                 f"expected {tensor.shape}")
         tensor.value = nc.Tensor(arrays[name]).value
 
-    memory = None
-    if "memory.gammas" in arrays:
-        k = 0
-        while f"memory.group{k}.z" in arrays:
-            k += 1
-        z0 = arrays["memory.group0.z"]
-        memory = gm.restore_memory(arrays, k=k, batch_size=z0.shape[0],
-                                   d=z0.shape[1])
+    if "memory.gammas" not in arrays:
+        return model, None
+    if "memory.group0.z" not in arrays:
+        raise DataFormatError(f"{path}: missing memory.group0.z")
+    z0 = arrays["memory.group0.z"]
+    try:
+        memory = gm.restore_memory(arrays, k=arrays["memory.gammas"].size,
+                                   batch_size=z0.shape[0], d=z0.shape[1])
+    except DataFormatError as err:
+        raise DataFormatError(f"{path}: {err}") from None
     return model, memory
 
 

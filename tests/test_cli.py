@@ -144,6 +144,15 @@ def test_report_missing_file_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("data error:") and f"{results}:2" in err
     assert err.count("\n") == 1
+    # a summary lacking fields report prints
+    for summary in ({"kind": "summary"},
+                    {"kind": "summary", "config": {"mode": "ood_gnn"},
+                     "epochs_run": 1}):
+        results.write_text(json.dumps(summary) + "\n")
+        assert cli.main(["report", "--results", str(results)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(results) in err
+        assert err.count("\n") == 1
 
 
 def test_experiment_command_runs_and_summarizes(tmp_path, capsys):

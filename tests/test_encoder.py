@@ -72,15 +72,68 @@ def test_named_parameters_cover_everything_once():
     assert names["encoder.layer0.w1"] is model.encoder.layers[0].w1
 
 
+def mixed_union(seed=11):
+    """Graphs of several node counts (two sharing 9 and two sharing 6), an
+    edgeless graph and a 1-node graph, in a shuffled order."""
+    graphs = (sample_graphs(2, seed=seed, min_nodes=9, max_nodes=9)
+              + sample_graphs(2, seed=seed + 1, min_nodes=6, max_nodes=6)
+              + sample_graphs(1, seed=seed + 2, min_nodes=12, max_nodes=12)
+              + [Graph(4, (), np.zeros((4, 8)), 0),
+                 Graph(1, (), np.zeros((1, 8)), 0)])
+    order = np.random.default_rng(seed).permutation(len(graphs))
+    return [graphs[i] for i in order]
+
+
+def block_diagonal_adjacency(graphs):
+    total = sum(g.num_nodes for g in graphs)
+    adj = np.zeros((total, total))
+    off = 0
+    for g in graphs:
+        for u, v in g.edges:
+            adj[off + u, off + v] = adj[off + v, off + u] = 1.0
+        off += g.num_nodes
+    return adj
+
+
 def test_neighbor_sum_matches_dense_adjacency():
     g = sample_graphs(1, seed=11, min_nodes=9, max_nodes=9)[0]
-    index = enc_mod._UnionIndex([g])
-    h = np.random.default_rng(1).normal(size=(9, 5))
-    adj = np.zeros((9, 9))
-    for u, v in g.edges:
-        adj[u, v] = adj[v, u] = 1.0
-    out = enc_mod.neighbor_sum(nc.constant(h), index)
-    assert np.max(np.abs(out.value - adj @ h)) < 1e-12
+    graphs = mixed_union()
+    assert len({g.num_nodes for g in graphs}) < len(graphs)
+    rng = np.random.default_rng(1)
+    for union in ([g], graphs):
+        index = enc_mod._UnionIndex(union)
+        h = rng.normal(size=(index.num_nodes, 5))
+        out = enc_mod.neighbor_sum(nc.constant(h), index)
+        want = block_diagonal_adjacency(union) @ h
+        assert np.max(np.abs(out.value - want)) < 1e-12
+
+
+def test_neighbor_sum_gradient_on_a_mixed_union():
+    graphs = mixed_union(seed=23)
+    index = enc_mod._UnionIndex(graphs)
+    rng = np.random.default_rng(2)
+    h0 = rng.normal(size=(index.num_nodes, 3))
+    w = nc.constant(rng.normal(size=(3, 4)))
+    labels = rng.integers(0, 4, size=len(graphs))
+
+    def f(t):
+        pooled = enc_mod.segment_sum(enc_mod.neighbor_sum(t, index), index)
+        return nc.softmax_cross_entropy(nc.matmul(pooled, w), labels,
+                                        np.ones(len(graphs)))
+
+    assert nc.grad_check(f, h0) < 1e-6
+
+
+def test_edge_array_is_cached_and_read_only():
+    g = sample_graphs(1, seed=5)[0]
+    arr = g.edge_array
+    assert arr is g.edge_array
+    assert arr.shape == (len(g.edges), 2)
+    assert [tuple(e) for e in arr.tolist()] == list(g.edges)
+    assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        arr[0, 0] = 0
+    assert Graph(3, (), np.zeros((3, 1)), 0).edge_array.shape == (0, 2)
 
 
 def test_encode_matches_per_node_loop_reference():

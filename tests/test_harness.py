@@ -263,6 +263,7 @@ def test_checkpoint_round_trip_with_memory(size_split, tmp_path):
 
 
 def test_checkpoint_rejects_bad_shapes(size_split, tmp_path):
+    from decorgnn import globalmem as gm
     from decorgnn.fileio import load_manifest, save_manifest
     train_set, test_set = size_split
     model, _ = hn.train(train_set, test_set, small_cfg(epochs=1))
@@ -290,6 +291,14 @@ def test_checkpoint_rejects_bad_shapes(size_split, tmp_path):
     save_manifest(bad, {"unrelated": np.zeros((1, 1))})
     with pytest.raises(DataFormatError, match="not a model checkpoint"):
         hn.load_checkpoint(bad)
+    memory = gm.memory_arrays(gm.init_memory(2, batch_size=4, d=16,
+                                             gammas=(0.3, 0.7)))
+    for name in ("memory.group0.z", "memory.group1.w"):
+        arrays = {**load_manifest(path), **memory}
+        del arrays[name]
+        save_manifest(bad, arrays)
+        with pytest.raises(DataFormatError, match=name):
+            hn.load_checkpoint(bad)
 
 
 def test_load_manifest_rejects_malformed_records(tmp_path):

@@ -30,8 +30,11 @@ json_values = st.recursive(
 GOOD_GRAPH = {"n": 3, "edges": [[0, 1], [1, 2]],
               "x": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], "y": 1}
 GOOD_ARRAY = {"name": "w", "rows": 2, "cols": 1, "values": [0.5, -1.0]}
-GOOD_SUMMARY = {"kind": "summary", "config": {"mode": "ood_gnn"},
-                "epochs_run": 1}
+GOOD_SUMMARY = {"kind": "summary",
+                "config": {"mode": "ood_gnn", "seed": 0, "lr": 0.01},
+                "epochs_run": 1, "final_train_acc": 0.5,
+                "final_test_acc": 0.25, "constraint_checks": 2,
+                "constraint_violations": 0}
 GOOD_EPOCH = {"kind": "epoch", "epoch": 0, "loss": 1.0}
 
 
@@ -76,6 +79,13 @@ def test_load_results_loads_or_raises_format_error(field, value, drop, line):
     bad = _mutate(GOOD_EPOCH, field, value, drop)
     _loads_or_format_error(hn.load_results, [GOOD_EPOCH, bad, line,
                                              GOOD_SUMMARY])
+
+
+@SETTINGS
+@given(st.sampled_from(sorted(GOOD_SUMMARY)), json_values, st.booleans())
+def test_load_results_summary_loads_or_raises_format_error(field, value, drop):
+    bad = _mutate(GOOD_SUMMARY, field, value, drop)
+    _loads_or_format_error(hn.load_results, [GOOD_EPOCH, bad])
 
 
 @SETTINGS
