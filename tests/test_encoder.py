@@ -3,8 +3,9 @@ import pytest
 
 from decorgnn import encoder as enc_mod
 from decorgnn import numcore as nc
-from decorgnn.graphdata import (Graph, gen_random_graph, gen_triangles_dataset,
-                                one_hot_degree_features, permute_graph)
+from decorgnn.graphdata import (Graph, adjacency_matrix, gen_random_graph,
+                                gen_triangles_dataset, one_hot_degree_features,
+                                permute_graph)
 
 
 def make_model(input_dim, hidden_dim, num_layers, num_classes, seed=0):
@@ -72,26 +73,36 @@ def test_named_parameters_cover_everything_once():
     assert names["encoder.layer0.w1"] is model.encoder.layers[0].w1
 
 
+def ring_graph(num_nodes, ring_nodes, width=8):
+    """A cycle through the first ring_nodes nodes; the rest are isolated."""
+    edges = tuple((i, i + 1) for i in range(ring_nodes - 1)) + ((0, ring_nodes - 1),)
+    return Graph(num_nodes, tuple(sorted(edges)), np.zeros((num_nodes, width)), 0)
+
+
 def mixed_union(seed=11):
     """Graphs of several node counts (two sharing 9 and two sharing 6), an
-    edgeless graph and a 1-node graph, in a shuffled order."""
+    edgeless graph and a 1-node graph, which the index stacks densely, plus
+    a 200-node graph with a 150-node ring, a 300-node graph with degrees 0
+    to 5 or so and an edgeless 200-node graph, which it sums over their
+    edges; in a shuffled order."""
+    sparse = gen_random_graph(300, 0.006, seed)
     graphs = (sample_graphs(2, seed=seed, min_nodes=9, max_nodes=9)
               + sample_graphs(2, seed=seed + 1, min_nodes=6, max_nodes=6)
               + sample_graphs(1, seed=seed + 2, min_nodes=12, max_nodes=12)
               + [Graph(4, (), np.zeros((4, 8)), 0),
-                 Graph(1, (), np.zeros((1, 8)), 0)])
+                 Graph(1, (), np.zeros((1, 8)), 0),
+                 ring_graph(200, 150),
+                 Graph(300, sparse.edges, np.zeros((300, 8)), 0),
+                 Graph(200, (), np.zeros((200, 8)), 0)])
     order = np.random.default_rng(seed).permutation(len(graphs))
     return [graphs[i] for i in order]
 
 
 def block_diagonal_adjacency(graphs):
-    total = sum(g.num_nodes for g in graphs)
-    adj = np.zeros((total, total))
-    off = 0
-    for g in graphs:
-        for u, v in g.edges:
-            adj[off + u, off + v] = adj[off + v, off + u] = 1.0
-        off += g.num_nodes
+    offsets = np.cumsum([0] + [g.num_nodes for g in graphs])
+    adj = np.zeros((offsets[-1], offsets[-1]))
+    for g, lo, hi in zip(graphs, offsets[:-1], offsets[1:]):
+        adj[lo:hi, lo:hi] = adjacency_matrix(g)
     return adj
 
 
@@ -100,12 +111,42 @@ def test_neighbor_sum_matches_dense_adjacency():
     graphs = mixed_union()
     assert len({g.num_nodes for g in graphs}) < len(graphs)
     rng = np.random.default_rng(1)
-    for union in ([g], graphs):
+    for union in ([g], [ring_graph(200, 150)], graphs):
         index = enc_mod._UnionIndex(union)
         h = rng.normal(size=(index.num_nodes, 5))
         out = enc_mod.neighbor_sum(nc.constant(h), index)
         want = block_diagonal_adjacency(union) @ h
         assert np.max(np.abs(out.value - want)) < 1e-12
+
+
+def test_union_index_stacks_only_graphs_whose_block_pays():
+    # a ring has n + 2E = 3n sparse entries, so n² <= 64·3n up to n = 192
+    assert enc_mod.DENSE_RATIO == 64
+    graphs = [ring_graph(192, 192), ring_graph(193, 193), ring_graph(193, 193)]
+    index = enc_mod._UnionIndex(graphs)
+    assert [(n, adj.shape[0]) for _, n, adj in index.stacks] == [(192, 1)]
+    assert [nbrs.shape for _, nbrs in index.buckets] == [(2 * 193, 2)]
+
+    mixed = mixed_union()
+    index = enc_mod._UnionIndex(mixed)
+    assert sorted(n for _, n, _ in index.stacks) == [1, 4, 6, 9, 12]
+    sparse_edges = sum(len(g.edges) for g in mixed if g.num_nodes >= 200)
+    assert sum(nbrs.size for _, nbrs in index.buckets) == 2 * sparse_edges
+    assert len(index.buckets) > 2
+
+
+def test_large_sparse_graph_keeps_batch_memory_linear_in_edges():
+    # a 3000-node ring's dense block would hold 3000² floats against its
+    # 9000 sparse entries; an eval chunk of 64 such blocks takes 4.6 GB
+    g = ring_graph(3000, 3000, width=1)
+    index = enc_mod._UnionIndex([g, g])
+    assert index.stacks == []
+    assert [nbrs.shape for _, nbrs in index.buckets] == [(2 * 3000, 2)]
+    h = np.random.default_rng(3).normal(size=(index.num_nodes, 4))
+    blocks = h.reshape(2, 3000, 4)
+    want = np.roll(blocks, 1, axis=1) + np.roll(blocks, -1, axis=1)
+    out = enc_mod.neighbor_sum(nc.constant(h), index).value
+    assert np.max(np.abs(out - want.reshape(-1, 4))) < 1e-12
 
 
 def test_neighbor_sum_gradient_on_a_mixed_union():
