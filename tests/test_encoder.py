@@ -82,9 +82,9 @@ def ring_graph(num_nodes, ring_nodes, width=8):
 def mixed_union(seed=11):
     """Graphs of several node counts (two sharing 9 and two sharing 6), an
     edgeless graph and a 1-node graph, which the index stacks densely, plus
-    a 200-node graph with a 150-node ring, a 300-node graph with degrees 0
-    to 5 or so and an edgeless 200-node graph, which it sums over their
-    edges; in a shuffled order."""
+    a 200-node graph with a 150-node ring, a 300-node random graph with
+    degrees up to 7 and an edgeless 200-node graph, which it sums over
+    their edges; in a shuffled order."""
     sparse = gen_random_graph(300, 0.006, seed)
     graphs = (sample_graphs(2, seed=seed, min_nodes=9, max_nodes=9)
               + sample_graphs(2, seed=seed + 1, min_nodes=6, max_nodes=6)
@@ -134,8 +134,6 @@ def test_union_index_stacks_only_graphs_whose_block_pays():
     assert sum(nbrs.size for _, nbrs in index.buckets) == 2 * sparse_edges
     assert len(index.buckets) > 2
 
-
-def test_large_sparse_graph_keeps_batch_memory_linear_in_edges():
     # a 3000-node ring's dense block would hold 3000² floats against its
     # 9000 sparse entries; an eval chunk of 64 such blocks takes 4.6 GB
     g = ring_graph(3000, 3000, width=1)
