@@ -1,0 +1,183 @@
+"""Compare two source checkouts on the benchmark and on one large CLI run.
+
+Usage, from any directory:
+
+    python3 scripts/bench_compare.py --parent OLD --change NEW \
+        --seed 83 --pairs size_shift_experiment=10 --pairs cli_roundtrip=3 \
+        --trace-pairs size_shift_experiment=1 --large-rounds 3 \
+        --out BENCH_topic.json
+
+``OLD`` and ``NEW`` are checkouts (for example made with ``git archive``).
+Each benchmark run is ``python3 perfbench/run.py --workload W --seed S
+--seconds 30 --trace T`` in its own process, inside its own checkout. The
+two sides alternate which runs first: odd pairs run the parent first. The
+last output line of each run is kept as its result.
+
+``--large-rounds N`` also generates 48 graphs of 2000-3000 nodes with
+``decorgnn gen`` (once, with the parent) and times a 2-epoch
+``decorgnn train`` on them with each checkout, N alternating rounds. Wall
+time and the peak RSS that ``wait4`` reports for the train process are
+recorded, with its standard output so the accuracies can be compared.
+
+The output JSON holds every run in the order it was made, and per workload
+and metric the median and quartiles of each side, the share of pairs the
+change won, and the median ratio change/parent.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+import tempfile
+import time
+
+import numpy as np
+
+BETTER = {"setup_s": "lower", "wall_s": "lower", "train_graphs_per_s": "higher",
+          "peak_rss_mb": "lower"}
+LARGE_GEN = ["gen", "--count", "48", "--min-nodes", "2000",
+             "--max-nodes", "3000", "--seed", "0"]
+LARGE_TRAIN = ["split_max_nodes=2500", "epochs=2"]
+
+
+def _stats(values) -> dict:
+    q1, med, q3 = np.percentile(values, [25, 50, 75])
+    return {"median": float(med), "q1": float(q1), "q3": float(q3),
+            "n": len(values)}
+
+
+def _wins(parent, change, better) -> str:
+    won = sum((c < p) if better == "lower" else (c > p)
+              for p, c in zip(parent, change))
+    return f"{won}/{len(parent)}"
+
+
+def _summary(pairs, names) -> dict:
+    """pairs: [(parent metrics, change metrics)], each {name: value}."""
+    out = {}
+    for name in names:
+        p = [a[name] for a, _ in pairs]
+        c = [b[name] for _, b in pairs]
+        ratio = (float(np.median(c) / np.median(p)) if np.median(p)
+                 else None)
+        out[name] = {"parent": _stats(p), "change": _stats(c),
+                     "change_better_pairs": _wins(p, c, BETTER.get(name,
+                                                                   "lower")),
+                     "median_ratio_change_over_parent": ratio}
+    return out
+
+
+def _bench(checkout, workload, seed, trace, seconds) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds),
+         "--trace", str(trace)],
+        cwd=checkout, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _cli(checkout, args) -> tuple[float, float, str]:
+    """Run one decorgnn command; (wall s, wait4 peak RSS MiB, stdout)."""
+    env = {**os.environ, "PYTHONPATH": os.path.join(checkout, "src"),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    with tempfile.TemporaryFile("w+") as out:
+        start = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, "-m", "decorgnn.cli", *args],
+                                cwd=checkout, env=env, stdout=out)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        if proc.returncode:
+            raise RuntimeError(f"{args[0]} exited {proc.returncode}")
+        out.seek(0)
+        return wall, usage.ru_maxrss / 1024, out.read().strip()
+
+
+def _counts(spec: list[str]) -> dict:
+    return {w: int(n) for w, n in (s.split("=") for s in spec)}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--parent", required=True)
+    parser.add_argument("--change", required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seconds", type=float, default=30)
+    parser.add_argument("--pairs", action="append", default=[],
+                        help="WORKLOAD=N alternating --trace 0 pairs")
+    parser.add_argument("--trace-pairs", action="append", default=[],
+                        help="WORKLOAD=N alternating --trace 1 pairs")
+    parser.add_argument("--large-rounds", type=int, default=0)
+    parser.add_argument("--out", required=True)
+    args = parser.parse_args(argv)
+    sides = {"parent": os.path.abspath(args.parent),
+             "change": os.path.abspath(args.change)}
+
+    runs, order = [], 0
+    result = {"host": f"{os.cpu_count()} CPUs, {platform.platform()}",
+              "seed": args.seed, "runs": runs, "summary": {}}
+    for trace, spec in ((0, args.pairs), (1, args.trace_pairs)):
+        for workload, count in _counts(spec).items():
+            pairs = []
+            for pair in range(1, count + 1):
+                first = ("parent", "change") if pair % 2 else ("change",
+                                                               "parent")
+                got = {}
+                for side in first:
+                    order += 1
+                    got[side] = _bench(sides[side], workload, args.seed,
+                                       trace, args.seconds)
+                    runs.append({"side": side, "pair": pair,
+                                 "workload": workload, "trace": trace,
+                                 "run_order": order, "result": got[side]})
+                    print(f"{workload} trace={trace} pair {pair} {side}: "
+                          f"correct={got[side]['correct']} failed="
+                          f"{got[side]['failed']}", file=sys.stderr)
+                pairs.append(tuple(
+                    {k: m["value"] for k, m in got[s]["metrics"].items()}
+                    for s in ("parent", "change")))
+            key = workload if trace == 0 else f"{workload}_trace"
+            result["summary"][key] = _summary(pairs, list(pairs[0][0]))
+            result["summary"][key]["all_correct"] = all(
+                r["result"]["correct"] and not r["result"]["failed"]
+                for r in runs if r["workload"] == workload
+                and r["trace"] == trace)
+
+    if args.large_rounds:
+        with tempfile.TemporaryDirectory() as tmp:
+            data = os.path.join(tmp, "large.jsonl")
+            _cli(sides["parent"], [*LARGE_GEN, "--out", data])
+            rounds = []
+            for rnd in range(1, args.large_rounds + 1):
+                first = ("parent", "change") if rnd % 2 else ("change",
+                                                              "parent")
+                got = {}
+                for side in first:
+                    wall, rss, text = _cli(sides[side], [
+                        "train", "--data", data, "--results",
+                        os.path.join(tmp, f"{side}.jsonl"), *LARGE_TRAIN])
+                    got[side] = {"wall_s": wall, "peak_rss_mb": rss}
+                    runs.append({"side": side, "round": rnd,
+                                 "workload": "large_cli", "wall_s": wall,
+                                 "peak_rss_mb": rss, "stdout": text})
+                    print(f"large round {rnd} {side}: {wall:.2f} s "
+                          f"{rss:.0f} MiB", file=sys.stderr)
+                rounds.append((got["parent"], got["change"]))
+            result["summary"]["large_cli"] = {
+                "commands": ["decorgnn " + " ".join(LARGE_GEN),
+                             "decorgnn train --data large.jsonl "
+                             + " ".join(LARGE_TRAIN)],
+                **_summary(rounds, ["wall_s", "peak_rss_mb"])}
+
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(result, fh, indent=1)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -3,9 +3,10 @@
 Each message-passing layer updates node states as
 MLP((1 + eps) * h_v + sum of neighbor states), with a learnable scalar eps
 per layer and a two-layer MLP (ReLU between the two affine maps, linear
-output). Graph representations are sums of final node states. Everything
+output). Graph representations are sums of final node states. Training
 runs on the reverse-mode tape from numcore, so one backward call yields
-gradients for all layer parameters and the classifier.
+gradients for all layer parameters and the classifier; ``predict`` runs
+the same forward pass with the tape off.
 
 Batches are encoded as one disjoint union: node features are stacked and
 per-graph sums taken over contiguous node segments, so a batch needs one
@@ -269,9 +270,15 @@ def classify(clf: ClassifierParams, z: nc.Tensor) -> nc.Tensor:
 
 
 def predict(model: Model, graphs, linear: bool = False) -> np.ndarray:
-    """Predicted class index per graph. No gradients are kept."""
-    logits = classify(model.classifier, encode_batch(model.encoder, graphs,
-                                                     linear=linear))
+    """Predicted class index per graph.
+
+    No gradients are kept: the forward pass runs inside ``nc.no_tape()``,
+    so each intermediate is freed once the next layer has consumed it.
+    Non-finite values still raise NonFiniteError.
+    """
+    with nc.no_tape():
+        logits = classify(model.classifier,
+                          encode_batch(model.encoder, graphs, linear=linear))
     return np.argmax(logits.value, axis=1)
 
 

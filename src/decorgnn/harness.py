@@ -214,22 +214,14 @@ def _reweight_batch(z_value, cfg, memory, epoch, batch_idx, stats):
     return w_new, result.objectives[-1]
 
 
-def train(train_set: Dataset, test_set: Dataset,
-          cfg: TrainConfig) -> tuple[enc.Model, RunReport]:
-    """Run one training configuration and report per-epoch progress.
+def _fit_epochs(model: enc.Model, train_set: Dataset, cfg: TrainConfig,
+                stats: dict):
+    """Train ``model`` in place, yielding (loss, objective, weights) per epoch.
 
-    The last short batch of an epoch is kept when no memory is configured
-    and dropped otherwise, since stored groups are shaped to one full batch.
-    A kept tail never holds a single graph when there is more than one
-    batch: if ``n % batch_size == 1`` the last batch starts one graph
-    earlier, so the batch before it holds ``batch_size - 1`` graphs and the
-    tail holds two. The batch count stays ceil(n / batch_size) and every
-    batch can be reweighted, since a covariance needs at least two rows.
-    Raises DivergenceError (with epoch and batch position) if any step
-    produces non-finite values.
+    Each value is yielded after the epoch's last optimizer step, so the
+    caller may score the model before the next epoch starts. See ``train``
+    for the batching rules.
     """
-    started = time.time()
-    model = init_model(cfg, train_set.feature_dim, train_set.num_classes)
     params = enc.parameters(model)
     optimizer = nc.Adam(params, lr=cfg.lr)
     use_reweight = cfg.mode != "baseline_uniform"
@@ -240,9 +232,6 @@ def train(train_set: Dataset, test_set: Dataset,
 
     graphs = train_set.graphs
     labels = np.array([g.label for g in graphs])
-    stats = {"checks": 0, "violations": 0}
-    records = []
-    last_weights = None
 
     bounds = list(range(0, len(graphs), cfg.batch_size)) + [len(graphs)]
     if memory is None and len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
@@ -281,15 +270,37 @@ def train(train_set: Dataset, test_set: Dataset,
                     f"epoch {epoch} batch {batch_idx}: {err}") from err
             losses.append(float(loss.value[0, 0]))
 
-        last_weights = np.concatenate(epoch_weights)
-        record = EpochRecord(
-            epoch=epoch,
-            loss=float(np.mean(losses)),
-            objective=float(np.mean(objectives)) if objectives else None,
+        yield (float(np.mean(losses)),
+               float(np.mean(objectives)) if objectives else None,
+               np.concatenate(epoch_weights))
+
+
+def train(train_set: Dataset, test_set: Dataset,
+          cfg: TrainConfig) -> tuple[enc.Model, RunReport]:
+    """Run one training configuration and report per-epoch progress.
+
+    The last short batch of an epoch is kept when no memory is configured
+    and dropped otherwise, since stored groups are shaped to one full batch.
+    A kept tail never holds a single graph when there is more than one
+    batch: if ``n % batch_size == 1`` the last batch starts one graph
+    earlier, so the batch before it holds ``batch_size - 1`` graphs and the
+    tail holds two. The batch count stays ceil(n / batch_size) and every
+    batch can be reweighted, since a covariance needs at least two rows.
+    Train and test accuracy are scored after every epoch.
+    Raises DivergenceError (with epoch and batch position) if any step
+    produces non-finite values.
+    """
+    started = time.time()
+    model = init_model(cfg, train_set.feature_dim, train_set.num_classes)
+    stats = {"checks": 0, "violations": 0}
+    records = []
+    for epoch, (loss, objective, last_weights) in enumerate(
+            _fit_epochs(model, train_set, cfg, stats)):
+        records.append(EpochRecord(
+            epoch=epoch, loss=loss, objective=objective,
             train_acc=evaluate(model, train_set),
             test_acc=evaluate(model, test_set),
-        )
-        records.append(record)
+        ))
 
     report = RunReport(
         config=cfg.as_dict(),
@@ -298,7 +309,8 @@ def train(train_set: Dataset, test_set: Dataset,
         final_test_acc=records[-1].test_acc,
         constraint_checks=stats["checks"],
         constraint_violations=stats["violations"],
-        final_weights=last_weights if use_reweight else None,
+        final_weights=(None if cfg.mode == "baseline_uniform"
+                       else last_weights),
         wall_seconds=time.time() - started,
         timestamp=time.strftime("%Y-%m-%dT%H:%M:%S"),
     )
@@ -331,7 +343,9 @@ def write_results(path, report: RunReport) -> None:
 def load_results(path) -> tuple[list, dict]:
     """Parse a results file back into (epoch records, summary).
 
-    The summary must carry every field ``decorgnn report`` prints.
+    The summary must carry every field ``decorgnn report`` prints, and so
+    must the last epoch record: a numeric ``loss`` and an ``objective``
+    that is a number or null.
     """
     records, summary = [], None
     with open(path, "r", encoding="utf-8") as fh:
@@ -360,6 +374,14 @@ def load_results(path) -> tuple[list, dict]:
     for field in ("final_train_acc", "final_test_acc"):
         if type(summary[field]) not in (int, float):
             raise DataFormatError(f"{path}: summary {field} is not a number")
+    if records:
+        last = records[-1]
+        if (type(last.get("loss")) not in (int, float)
+                or "objective" not in last
+                or type(last["objective"]) not in (int, float, type(None))):
+            raise DataFormatError(
+                f"{path}: last epoch record needs a numeric loss and an "
+                f"objective that is a number or null")
     return records, summary
 
 
@@ -387,7 +409,9 @@ def load_checkpoint(path):
     read from ``encoder.layer{i}.w1`` and ``classifier.w`` build a template
     with ``init_encoder`` and ``init_classifier``, and every entry of its
     ``named_parameters`` must be present with the template's shape.
-    Non-finite values raise NonFiniteError.
+    Memory entries that are missing, misshapen or out of range raise
+    DataFormatError with the path too. Non-finite values raise
+    NonFiniteError.
     """
     arrays = load_manifest(path)
     num_layers = 0
@@ -418,7 +442,7 @@ def load_checkpoint(path):
     try:
         memory = gm.restore_memory(arrays, k=arrays["memory.gammas"].size,
                                    batch_size=z0.shape[0], d=z0.shape[1])
-    except DataFormatError as err:
+    except ValueError as err:  # DataFormatError, DimensionError, bad momentum
         raise DataFormatError(f"{path}: {err}") from None
     return model, memory
 
@@ -428,7 +452,9 @@ def probe_learning_rate(train_set: Dataset, cfg: TrainConfig) -> float:
 
     The probe trains on 90% of the training split and scores accuracy on
     the remaining 10%; the full runs then use the winner. Reweighting is
-    off during probing so the choice is shared across modes.
+    off during probing so the choice is shared across modes. Each
+    candidate runs ``train``'s epoch loop and is evaluated once, after its
+    last epoch, since only that accuracy is compared.
     """
     rng = np.random.default_rng(
         np.random.SeedSequence([cfg.seed, _STREAM_PROBE]))
@@ -445,9 +471,12 @@ def probe_learning_rate(train_set: Dataset, cfg: TrainConfig) -> float:
             mode="baseline_uniform", hidden_dim=cfg.hidden_dim,
             num_layers=cfg.num_layers, batch_size=cfg.batch_size, lr=lr,
             epochs=PROBE_EPOCHS, seed=cfg.seed)
-        _, report = train(fit, val, probe_cfg)
-        if report.final_test_acc > best_acc:
-            best_lr, best_acc = lr, report.final_test_acc
+        model = init_model(probe_cfg, fit.feature_dim, fit.num_classes)
+        for _ in _fit_epochs(model, fit, probe_cfg, stats={}):
+            pass
+        acc = evaluate(model, val)
+        if acc > best_acc:
+            best_lr, best_acc = lr, acc
     return best_lr
 
 

@@ -1,14 +1,20 @@
 """Dense float64 matrices with a reverse-mode gradient tape.
 
-Every value is a 2-D float64 array. Operations record their inputs and a
-backward rule on the output node; ``backward`` walks the recorded graph in
-reverse topological order and accumulates partial derivatives, once per path.
-The tape is rebuilt on every forward pass, so parameter arrays may be swapped
-between passes without invalidating anything.
+Every value is a 2-D float64 array. An operation records its inputs and a
+backward rule on the output node only when some input requires a gradient
+and the tape is on; ``backward`` walks the recorded graph in reverse
+topological order and accumulates partial derivatives, once per path. An
+operation over constants, or any operation inside ``no_tape()``, returns a
+parentless constant, so a forward pass that takes no gradient keeps no
+intermediate alive. Every output is still checked for non-finite entries.
+The tape is rebuilt on every forward pass, so parameter arrays may be
+swapped between passes without invalidating anything.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 from typing import Callable, Sequence
 
 import numpy as np
@@ -82,18 +88,38 @@ def constant(values) -> Tensor:
     return Tensor(values, requires_grad=False)
 
 
+# per thread and per asyncio task, so a scope never leaks into another
+_TAPING = contextvars.ContextVar("taping", default=True)
+
+
+@contextlib.contextmanager
+def no_tape():
+    """Scope in which no operation records parents or backward rules.
+
+    Every result is a constant, so intermediates are freed as soon as the
+    caller drops them. The previous mode is restored on exit, also when the
+    block raises.
+    """
+    token = _TAPING.set(False)
+    try:
+        yield
+    finally:
+        _TAPING.reset(token)
+
+
 def op_node(value: np.ndarray, inputs: Sequence[tuple[Tensor, Callable]]) -> Tensor:
     """Create an operation result node.
 
     ``inputs`` pairs each parent tensor with a function mapping the output
     gradient to that parent's gradient contribution. Modules building their
     own structured operations (e.g. graph aggregation) use this hook instead
-    of growing this module.
+    of growing this module. When no input requires a gradient, or inside
+    ``no_tape()``, the result is a parentless constant.
     """
-    parents = tuple(t for t, _ in inputs)
-    fns = tuple(f for _, f in inputs)
-    needs = any(t.requires_grad for t in parents)
-    return Tensor(value, requires_grad=needs, _parents=parents, _grad_fns=fns)
+    if not (_TAPING.get() and any(t.requires_grad for t, _ in inputs)):
+        return Tensor(value, requires_grad=False)
+    return Tensor(value, _parents=tuple(t for t, _ in inputs),
+                  _grad_fns=tuple(f for _, f in inputs))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

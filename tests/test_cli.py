@@ -155,6 +155,39 @@ def test_report_missing_file_exits_2(tmp_path, capsys):
         assert err.count("\n") == 1
 
 
+def test_report_incomplete_last_epoch_record_exits_2(tmp_path, capsys):
+    summary = {"kind": "summary",
+               "config": {"mode": "baseline_uniform", "seed": 0, "lr": 0.001},
+               "epochs_run": 1, "final_train_acc": 0.5,
+               "final_test_acc": 0.25, "constraint_checks": 0,
+               "constraint_violations": 0}
+    results = tmp_path / "run.jsonl"
+    for last in ({"kind": "epoch", "epoch": 0},
+                 {"kind": "epoch", "epoch": 0, "loss": 1.0},
+                 {"kind": "epoch", "epoch": 0, "objective": None},
+                 {"kind": "epoch", "epoch": 0, "loss": "1.0",
+                  "objective": None},
+                 {"kind": "epoch", "epoch": 0, "loss": True,
+                  "objective": None},
+                 {"kind": "epoch", "epoch": 0, "loss": 1.0,
+                  "objective": [0.5]}):
+        results.write_text(json.dumps(last) + "\n" + json.dumps(summary)
+                           + "\n")
+        capsys.readouterr()
+        assert cli.main(["report", "--results", str(results)]) == 2, last
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(results) in err
+        assert err.count("\n") == 1
+    for objective in (None, 0.125):
+        last = {"kind": "epoch", "epoch": 0, "loss": 1.0,
+                "objective": objective}
+        results.write_text(json.dumps(last) + "\n" + json.dumps(summary)
+                           + "\n")
+        assert cli.main(["report", "--results", str(results)]) == 0
+        out = capsys.readouterr().out
+        assert f"loss=1.0000 objective={objective}" in out
+
+
 def test_experiment_command_runs_and_summarizes(tmp_path, capsys):
     code = cli.main(["experiment", "--name", "triangles_size_shift",
                      "--out-dir", str(tmp_path), "--seeds", "0",

@@ -371,6 +371,55 @@ def test_gradients_match_finite_differences_through_a_graph():
         assert rel < 1e-4, f"{name}: rel error {rel}"
 
 
+def test_predict_matches_the_taped_forward_and_keeps_no_tape(monkeypatch):
+    model = make_model(8, 6, 2, 4, seed=2)
+    graphs = sample_graphs(5, seed=61)
+    logits = enc_mod.classify(model.classifier,
+                              enc_mod.encode_batch(model.encoder, graphs))
+    assert logits.requires_grad
+    seen = []
+    classify = enc_mod.classify
+
+    def recording(clf, z):
+        seen.append((z, classify(clf, z)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(enc_mod, "classify", recording)
+    assert np.array_equal(enc_mod.predict(model, graphs),
+                          np.argmax(logits.value, axis=1))
+    for node in seen[0]:
+        assert not node.requires_grad and node._parents == ()
+    # the tape is on again after predict
+    again = enc_mod.encode_batch(model.encoder, graphs)
+    assert again.requires_grad and again._parents
+
+
+def test_predict_still_raises_on_a_nan_parameter():
+    model = make_model(8, 6, 2, 4, seed=2)
+    model.encoder.layers[1].w2.value[0, 0] = np.nan
+    with np.errstate(invalid="ignore"), pytest.raises(nc.NonFiniteError):
+        enc_mod.predict(model, sample_graphs(3, seed=62))
+    assert nc.matmul(nc.constant(np.ones((1, 1))),
+                     nc.Tensor(np.ones((1, 1)))).requires_grad
+
+
+def test_predict_leaves_the_next_training_step_unchanged():
+    graphs = sample_graphs(4, seed=63)
+    labels = np.array([0, 1, 2, 3])
+    weights = np.array([1.0, 0.5, 2.0, 1.5])
+    grads = []
+    for call_predict in (False, True):
+        model = make_model(8, 6, 2, 4, seed=3)
+        if call_predict:
+            enc_mod.predict(model, graphs)
+        params = enc_mod.parameters(model)
+        enc_mod.weighted_prediction_step(
+            model, graphs, labels, weights, nc.Adam(params, lr=0.01))
+        grads.append([p.grad.copy() for p in params])
+    for plain, after_predict in zip(*grads):
+        assert np.array_equal(plain, after_predict)
+
+
 def test_untrained_accuracy_is_near_chance():
     dataset = gen_triangles_dataset(500, 4, 16, rng_seed=123)
     rng = np.random.default_rng(9)

@@ -299,6 +299,15 @@ def test_checkpoint_rejects_bad_shapes(size_split, tmp_path):
         save_manifest(bad, arrays)
         with pytest.raises(DataFormatError, match=name):
             hn.load_checkpoint(bad)
+    # misshapen memory entries name the file, as model tensors do
+    for name, value in [("memory.group1.z", np.zeros((3, 4))),
+                        ("memory.group1.w", np.ones((3, 1))),
+                        ("memory.gammas", np.array([[0.3, 0.7, 0.5]])),
+                        ("memory.gammas", np.array([[0.3, 1.5]]))]:
+        arrays = {**load_manifest(path), **memory, name: value}
+        save_manifest(bad, arrays)
+        with pytest.raises(DataFormatError, match="bad.jsonl"):
+            hn.load_checkpoint(bad)
 
 
 def test_load_manifest_rejects_malformed_records(tmp_path):
@@ -322,6 +331,25 @@ def test_probe_learning_rate_returns_allowed_value(size_split):
     lr_b = hn.probe_learning_rate(train_set, cfg)
     assert lr_a in hn.ALLOWED_LRS
     assert lr_a == lr_b
+
+
+def test_probe_evaluates_once_per_candidate(size_split, monkeypatch):
+    train_set, _ = size_split
+    cfg = small_cfg(mode="baseline_uniform", epochs=1)
+    scored = []
+    evaluate = hn.evaluate
+
+    def counting(model, dataset, *args, **kwargs):
+        scored.append(len(dataset))
+        return evaluate(model, dataset, *args, **kwargs)
+
+    monkeypatch.setattr(hn, "evaluate", counting)
+    lr = hn.probe_learning_rate(train_set, cfg)
+    n_val = round(hn.PROBE_HOLDOUT * len(train_set))
+    assert scored == [n_val] * len(hn.ALLOWED_LRS)
+    # what the probe picked when it ran full train() calls, scoring the
+    # 9-graph val slice at 2/9 for 1e-4 and 3/9 for 1e-3
+    assert lr == 1e-3
 
 
 def test_run_experiment_writes_per_run_and_summary_files(tmp_path):

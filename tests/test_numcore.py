@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -202,6 +203,38 @@ def test_gradients_skip_constants():
     assert x.grad is not None
 
 
+def test_ops_over_constants_keep_no_parents():
+    a = nc.constant(np.ones((2, 3)))
+    out = nc.relu(nc.matmul(a, nc.constant(np.ones((3, 2)))))
+    assert not out.requires_grad
+    assert out._parents == () and out._grad_fns == ()
+    w = nc.Tensor(np.ones((3, 2)))
+    taped = nc.matmul(a, w)
+    assert taped.requires_grad and taped._parents == (a, w)
+
+
+def test_no_tape_returns_parentless_constants_and_restores_the_mode():
+    w = nc.Tensor([[1.0, -2.0]])
+    x = nc.constant([[3.0], [4.0]])
+    with nc.no_tape():
+        out = nc.relu(nc.matmul(x, w))
+        loss = nc.sum_all(out)
+    assert np.array_equal(out.value, [[3.0, 0.0], [4.0, 0.0]])
+    for node in (out, loss):
+        assert not node.requires_grad and node._parents == ()
+    nc.backward(loss)
+    assert w.grad is None
+
+    with pytest.raises(RuntimeError, match="inside"):
+        with nc.no_tape():
+            with nc.no_tape():
+                pass
+            assert not nc.matmul(x, w).requires_grad
+            raise RuntimeError("inside")
+    nc.backward(nc.sum_all(nc.matmul(x, w)))
+    assert np.array_equal(w.grad, [[7.0, 7.0]])
+
+
 def test_composite_mlp_gradient_check():
     rng = np.random.default_rng(41)
     w1 = rng.standard_normal((4, 6))
@@ -257,5 +290,7 @@ def test_tensor_rejects_wrong_rank_and_nonfinite():
 
 def test_operations_surface_nonfinite_results():
     big = nc.Tensor([[1e308]])
-    with np.errstate(over="ignore"), pytest.raises(nc.NonFiniteError):
-        nc.matmul(big, nc.Tensor([[10.0]]))
+    for scope in (contextlib.nullcontext(), nc.no_tape()):
+        with scope, np.errstate(over="ignore"):
+            with pytest.raises(nc.NonFiniteError):
+                nc.matmul(big, nc.Tensor([[10.0]]))

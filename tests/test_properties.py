@@ -35,7 +35,7 @@ GOOD_SUMMARY = {"kind": "summary",
                 "epochs_run": 1, "final_train_acc": 0.5,
                 "final_test_acc": 0.25, "constraint_checks": 2,
                 "constraint_violations": 0}
-GOOD_EPOCH = {"kind": "epoch", "epoch": 0, "loss": 1.0}
+GOOD_EPOCH = {"kind": "epoch", "epoch": 0, "loss": 1.0, "objective": None}
 
 
 def _mutate(record: dict, field: str, value, drop: bool) -> dict:
@@ -73,7 +73,8 @@ def test_load_manifest_loads_or_raises_format_error(field, value, drop):
 
 
 @SETTINGS
-@given(st.sampled_from(["kind", "epoch", "loss", "config"]), json_values,
+@given(st.sampled_from(["kind", "epoch", "loss", "objective", "config"]),
+       json_values,
        st.booleans(), json_values)
 def test_load_results_loads_or_raises_format_error(field, value, drop, line):
     bad = _mutate(GOOD_EPOCH, field, value, drop)
