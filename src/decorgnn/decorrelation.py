@@ -103,12 +103,20 @@ class ReweightConfig:
             raise ValueError("seed must be nonnegative")
 
 
+def _draw(rng, shape: tuple, q: int) -> np.ndarray:
+    """Banks as one [*shape × (freqs, phases) × q] array, drawn in C order,
+    each as frequencies then phases; the generator's stream is that order."""
+    fields = np.empty((*shape, 2, q))
+    for bank in fields.reshape(-1, 2, q):
+        bank[0] = rng.standard_normal(q)
+        bank[1] = rng.uniform(0.0, 2.0 * np.pi, size=q)
+    return fields
+
+
 def sample_bank(q: int, rng) -> RFFBank:
     """Draw one bank: frequencies from N(0, 1), phases from U[0, 2*pi)."""
     COUNTERS["sample_bank"] += 1
-    rng = np.random.default_rng(rng)
-    return RFFBank(freqs=rng.standard_normal(q),
-                   phases=rng.uniform(0.0, 2.0 * np.pi, size=q))
+    return RFFBank(*_draw(np.random.default_rng(rng), (), q))
 
 
 def sample_banks(d: int, q: int, rng, linear: bool = False) -> list:
@@ -119,8 +127,8 @@ def sample_banks(d: int, q: int, rng, linear: bool = False) -> list:
     """
     if linear:
         return [(None, None)] * d
-    rng = np.random.default_rng(rng)
-    return [(sample_bank(q, rng), sample_bank(q, rng)) for _ in range(d)]
+    fields = _draw(np.random.default_rng(rng), (d, 2), q)
+    return [(RFFBank(*f), RFFBank(*g)) for f, g in fields]
 
 
 def rff_apply(x: float, bank: RFFBank) -> np.ndarray:
@@ -143,6 +151,15 @@ def _weights_array(weights, n: int) -> np.ndarray:
     return w
 
 
+def _centered_cov(f, g, w):
+    """Centred weighted maps A, B and their cross-covariance A^T B / (N-1)."""
+    wf = w[:, None] * f
+    wg = w[:, None] * g
+    a = wf - wf.mean(axis=0)
+    b = wg - wg.mean(axis=0)
+    return a, b, a.T @ b / (w.size - 1)
+
+
 def weighted_partial_cov(zi, zj, weights, f_bank: RFFBank | None,
                          g_bank: RFFBank | None) -> np.ndarray:
     """Weighted partial cross-covariance between two mapped columns.
@@ -161,11 +178,8 @@ def weighted_partial_cov(zi, zj, weights, f_bank: RFFBank | None,
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
     w = _weights_array(weights, n)
-    wf = w[:, None] * feature_matrix(zi, f_bank)
-    wg = w[:, None] * feature_matrix(zj, g_bank)
-    a = wf - wf.mean(axis=0)
-    b = wg - wg.mean(axis=0)
-    return a.T @ b / (n - 1)
+    return _centered_cov(feature_matrix(zi, f_bank),
+                         feature_matrix(zj, g_bank), w)[2]
 
 
 def dims_kept(d: int, fraction: float) -> int:
@@ -182,6 +196,14 @@ def dims_kept(d: int, fraction: float) -> int:
     return keep
 
 
+def _pair_index(d: int, fraction: float, rng) -> np.ndarray:
+    """The pairs sample_pairs returns, as a [2 × pairs] index array."""
+    keep = dims_kept(d, fraction)
+    dims = np.arange(d) if fraction == 1.0 else np.sort(
+        np.random.default_rng(rng).choice(d, size=keep, replace=False))
+    return dims[np.array(np.triu_indices(keep, k=1))]
+
+
 def sample_pairs(d: int, fraction: float, rng) -> list[tuple[int, int]]:
     """Dimension pairs (i < j) to score, lexicographically ordered.
 
@@ -190,62 +212,55 @@ def sample_pairs(d: int, fraction: float, rng) -> list[tuple[int, int]]:
     sample; fewer than two surviving dimensions is a domain error.
     """
     COUNTERS["sample_pairs"] += 1
-    keep = dims_kept(d, fraction)
-    if fraction == 1.0:
-        dims = np.arange(d)
-    else:
-        rng = np.random.default_rng(rng)
-        dims = np.sort(rng.choice(d, size=keep, replace=False))
-    a, b = np.triu_indices(dims.size, k=1)
-    return list(zip(dims[a].tolist(), dims[b].tolist()))
+    return list(zip(*_pair_index(d, fraction, rng).tolist()))
 
 
-def _flat_maps(z: np.ndarray, banks) -> tuple[np.ndarray, np.ndarray, int]:
-    """Stack per-dimension feature maps into [N × d*q] blocks for f and g."""
-    n, d = z.shape
-    if len(banks) != d:
-        raise ValueError(f"got {len(banks)} bank pairs for {d} dimensions")
-    widths = {1 if f is None else f.size for f, _ in banks}
-    widths |= {1 if g is None else g.size for _, g in banks}
-    if len(widths) != 1:
-        raise ValueError("all banks must share one width")
-    q = widths.pop()
-    f_flat = np.empty((n, d * q))
-    g_flat = np.empty((n, d * q))
-    for i, (f_bank, g_bank) in enumerate(banks):
-        f_flat[:, i * q:(i + 1) * q] = feature_matrix(z[:, i], f_bank)
-        g_flat[:, i * q:(i + 1) * q] = feature_matrix(z[:, i], g_bank)
-    return f_flat, g_flat, q
+def _maps(z: np.ndarray, fields) -> tuple[np.ndarray, np.ndarray]:
+    """f and g maps of all columns as two [N × d*q] blocks, from banks in a
+    [d × (f, g) × (freqs, phases) × q] array; None is the identity map."""
+    if fields is None:
+        return z, z
+    freqs, phases = fields.transpose(2, 1, 0, 3)[:, :, None]
+    f, g = np.sqrt(2.0) * np.cos(z[:, :, None] * freqs + phases)
+    return f.reshape(z.shape[0], -1), g.reshape(z.shape[0], -1)
 
 
-def _pair_mask(pairs, d: int, q: int) -> np.ndarray:
+def _mask(rows, cols, d: int, q: int) -> np.ndarray:
     select = np.zeros((d, d))
-    for i, j in pairs:
-        if not 0 <= i < j < d:
-            raise ValueError(f"pair ({i}, {j}) invalid for d={d}")
-        select[i, j] = 1.0
+    select[rows, cols] = 1.0
     return np.kron(select, np.ones((q, q)))
+
+
+def _inputs(z, weights) -> tuple[np.ndarray, np.ndarray]:
+    z = np.asarray(z, dtype=np.float64)
+    if z.ndim != 2 or z.shape[0] < 2:
+        raise ValueError(f"representations must be [N>=2 x d], got {z.shape}")
+    return z, _weights_array(weights, z.shape[0])
 
 
 def _setup(z, weights, banks, pairs):
     """Validated weights, stacked f/g maps and pair mask for one objective."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 2 or z.shape[0] < 2:
-        raise ValueError(f"representations must be [N>=2 x d], got {z.shape}")
-    w = _weights_array(weights, z.shape[0])
-    f_flat, g_flat, q = _flat_maps(z, banks)
-    return w, f_flat, g_flat, _pair_mask(pairs, z.shape[1], q)
+    z, w = _inputs(z, weights)
+    d = z.shape[1]
+    if len(banks) != d:
+        raise ValueError(f"got {len(banks)} bank pairs for {d} dimensions")
+    widths = {None if b is None else b.size for pair in banks for b in pair}
+    if len(widths) != 1:
+        raise ValueError("banks must share one width, or all be identity maps")
+    q = widths.pop() or 1  # an identity map has width 1
+    fields = None if banks[0][0] is None else np.array(
+        [[(b.freqs, b.phases) for b in pair] for pair in banks])
+    rows, cols = np.asarray(pairs, dtype=np.intp).reshape(len(pairs), 2).T
+    bad = np.flatnonzero((rows < 0) | (rows >= cols) | (cols >= d))
+    if bad.size:
+        raise ValueError(f"pair ({rows[bad[0]]}, {cols[bad[0]]}) invalid for d={d}")
+    return w, *_maps(z, fields), _mask(rows, cols, d, q)
 
 
-def _objective_core(f_flat, g_flat, w, mask, want_grad: bool, l2_lambda: float):
+def _objective_core(w, f_flat, g_flat, mask, want_grad: bool, l2_lambda: float):
     # C blocks reproduce weighted_partial_cov for every pair at once:
     # A = centered(w*F), B = centered(w*G), C = A^T B / (N-1).
-    n = w.size
-    wf = w[:, None] * f_flat
-    wg = w[:, None] * g_flat
-    a = wf - wf.mean(axis=0)
-    b = wg - wg.mean(axis=0)
-    c = (a.T @ b) / (n - 1)
+    a, b, c = _centered_cov(f_flat, g_flat, w)
     cm = c * mask
     objective = float(np.vdot(cm, cm)) + l2_lambda * float(w @ w)
     if not want_grad:
@@ -254,7 +269,7 @@ def _objective_core(f_flat, g_flat, w, mask, want_grad: bool, l2_lambda: float):
     # centerings; raw maps pair with the opposing centered block.
     term1 = ((f_flat @ cm) * b).sum(axis=1)
     term2 = ((a @ cm) * g_flat).sum(axis=1)
-    grad = (2.0 / (n - 1)) * (term1 + term2) + 2.0 * l2_lambda * w
+    grad = (2.0 / (w.size - 1)) * (term1 + term2) + 2.0 * l2_lambda * w
     return objective, grad
 
 
@@ -262,18 +277,14 @@ def decorrelation_objective(z, weights, banks, pairs) -> float:
     """Sum over pairs (i, j) of the squared Frobenius norm of the weighted
     partial cross-covariance between mapped columns i and j."""
     COUNTERS["decorrelation_objective"] += 1
-    w, f_flat, g_flat, mask = _setup(z, weights, banks, pairs)
-    objective, _ = _objective_core(f_flat, g_flat, w, mask, False, 0.0)
-    return objective
+    return _objective_core(*_setup(z, weights, banks, pairs), False, 0.0)[0]
 
 
 def objective_grad_weights(z, weights, banks, pairs,
                            l2_lambda: float = 0.0) -> np.ndarray:
     """Exact gradient of decorrelation_objective + l2_lambda * ||w||^2 in w."""
     COUNTERS["objective_grad_weights"] += 1
-    w, f_flat, g_flat, mask = _setup(z, weights, banks, pairs)
-    _, grad = _objective_core(f_flat, g_flat, w, mask, True, l2_lambda)
-    return grad
+    return _objective_core(*_setup(z, weights, banks, pairs), True, l2_lambda)[1]
 
 
 def project_weights(w: np.ndarray, total: float | None = None,
@@ -327,36 +338,34 @@ def optimize_weights(z, w0: WeightVector, cfg: ReweightConfig, *,
     """Run ``cfg.epochs_reweight`` projected gradient steps on the penalized
     objective, starting from ``w0``.
 
-    Banks and the pair set are resampled once at entry from ``seed`` (falls
-    back to ``cfg.seed``). ``free`` masks which weights may move; the
+    Maps and pair mask are drawn once at entry from ``seed`` (falls back to
+    ``cfg.seed``) as arrays, from the stream ``sample_banks`` then
+    ``sample_pairs`` would use. ``free`` masks which weights may move; the
     projection rescales only those, holding the rest as constants while the
     full vector keeps sum(w) = N. ``telemetry``, when given, receives
     (step, objective, weights) after each projection.
     """
     COUNTERS["optimize_weights"] += 1
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 2:
-        raise ValueError(f"representations must be [N x d], got {z.shape}")
+    z, w = _inputs(z, w0)
     n, d = z.shape
-    rng = np.random.default_rng(cfg.seed if seed is None else seed)
-    banks = sample_banks(d, cfg.q, rng, linear=linear)
-    pairs = sample_pairs(d, cfg.pair_fraction, rng)
-    w, f_flat, g_flat, mask = _setup(z, w0, banks, pairs)
     w = w.copy()
+    rng = np.random.default_rng(cfg.seed if seed is None else seed)
+    q = 1 if linear else cfg.q
+    f_flat, g_flat = _maps(z, None if linear else _draw(rng, (d, 2), q))
+    mask = _mask(*_pair_index(d, cfg.pair_fraction, rng), d, q)
+    movable = True if free is None else np.asarray(free, dtype=bool)
 
     history = []
     for step in range(cfg.epochs_reweight):
-        objective, grad = _objective_core(f_flat, g_flat, w, mask, True, cfg.l2_lambda)
+        objective, grad = _objective_core(w, f_flat, g_flat, mask, True, cfg.l2_lambda)
         if not np.isfinite(objective) or not np.isfinite(grad).all():
             raise OptimizationError(f"non-finite objective or gradient at step {step}")
         history.append(objective)
-        step_vec = cfg.lr_w * grad
-        if free is not None:
-            step_vec = np.where(np.asarray(free, dtype=bool), step_vec, 0.0)
+        step_vec = np.where(movable, cfg.lr_w * grad, 0.0)
         w = project_weights(w - step_vec, total=float(n), free=free)
         if telemetry is not None:
             telemetry(step, objective, w.copy())
-    final, _ = _objective_core(f_flat, g_flat, w, mask, False, cfg.l2_lambda)
+    final, _ = _objective_core(w, f_flat, g_flat, mask, False, cfg.l2_lambda)
     if not np.isfinite(final):
         raise OptimizationError("non-finite final objective")
     history.append(final)

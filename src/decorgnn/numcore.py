@@ -73,12 +73,6 @@ class Tensor:
     def cols(self) -> int:
         return self.value.shape[1]
 
-    def _accumulate(self, contribution: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.array(contribution, dtype=np.float64, copy=True)
-        else:
-            self.grad = self.grad + contribution
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -249,36 +243,33 @@ def _ordered_nodes(root: Tensor) -> list[Tensor]:
 
 
 def backward(root: Tensor) -> None:
-    """Accumulate d(root)/d(node) into ``grad`` of every reachable node.
+    """Accumulate d(root)/d(node) into ``grad`` of every reachable leaf.
 
     ``root`` must be 1×1. Gradients add to whatever is already stored, which
     makes repeated calls sum their results; callers reset with ``zero_grad``
     first for a fresh pass. Shared subexpressions receive exactly one
-    contribution per consumer.
+    contribution per consumer. Reverse topological order completes each
+    partial before it is passed on; an intermediate's is then dropped.
     """
     if root.shape != (1, 1):
         raise ContractError(f"backward root must be 1x1, got {root.shape}")
     if not root.requires_grad:
         return
-    order = _ordered_nodes(root)
     # Per-call partials keep earlier accumulated grads out of this pass.
     partial: dict[int, np.ndarray] = {id(root): np.ones((1, 1))}
-    for node in reversed(order):
-        g = partial.get(id(node))
+    for node in reversed(_ordered_nodes(root)):
+        g = partial.pop(id(node), None)
         if g is None:
             continue
+        if not node._parents:
+            node.grad = (np.array(g, dtype=np.float64) if node.grad is None
+                         else node.grad + g)
         for parent, fn in zip(node._parents, node._grad_fns):
             if parent.requires_grad:
                 key = id(parent)
                 contribution = fn(g)
-                if key in partial:
-                    partial[key] = partial[key] + contribution
-                else:
-                    partial[key] = contribution
-    for node in order:
-        g = partial.get(id(node))
-        if g is not None:
-            node._accumulate(g)
+                partial[key] = (partial[key] + contribution if key in partial
+                                else contribution)
 
 
 def zero_grad(tensors: Sequence[Tensor]) -> None:

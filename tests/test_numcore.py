@@ -147,6 +147,23 @@ def test_backward_shared_subexpression_counted_once_per_path():
     assert np.array_equal(grad_shared, np.full((3, 3), 2.0))
 
 
+def test_backward_gives_grad_to_leaves_only():
+    rng = np.random.default_rng(32)
+    xv = rng.standard_normal((4, 3))
+    wv = rng.standard_normal((3, 2))
+    x, w = nc.Tensor(xv), nc.Tensor(wv)
+    h = nc.matmul(x, w)  # shared: read directly and through relu
+    r = nc.relu(h)
+    both = nc.add(r, h)
+    loss = nc.add(nc.sum_all(both), nc.sum_all(nc.matmul(x, w)))
+    nc.backward(loss)
+    for node in (h, r, both, loss):
+        assert node.grad is None
+    dh = 2.0 + (xv @ wv > 0.0)  # d loss / d h, one unit from each consumer path
+    assert np.allclose(x.grad, dh @ wv.T, rtol=0, atol=1e-12)
+    assert np.allclose(w.grad, xv.T @ dh, rtol=0, atol=1e-12)
+
+
 def test_backward_rejects_nonscalar_root():
     x = nc.Tensor(np.ones((2, 2)))
     with pytest.raises(nc.ContractError):
