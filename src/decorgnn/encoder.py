@@ -4,9 +4,9 @@ Each message-passing layer updates node states as
 MLP((1 + eps) * h_v + sum of neighbor states), with a learnable scalar eps
 per layer and a two-layer MLP (ReLU between the two affine maps, linear
 output). Graph representations are sums of final node states. Training
-runs on the reverse-mode tape from numcore, so one backward call yields
-gradients for all layer parameters and the classifier; ``predict`` runs
-the same forward pass with the tape off.
+runs on numcore's reverse-mode tape, one node per layer with its own
+backward rule, so one backward call yields every parameter's gradient;
+``predict`` runs the same forward pass with the tape off.
 
 Batches are encoded as one disjoint union: node features are stacked and
 per-graph sums taken over contiguous node segments, so a batch needs one
@@ -234,16 +234,46 @@ def segment_sum(h: nc.Tensor, index: _UnionIndex) -> nc.Tensor:
     return nc.op_node(index.pool(h.value), [(h, index.unpool)])
 
 
-def gin_layer_forward(layer: GINLayer, h: nc.Tensor, index: _UnionIndex,
-                      linear: bool = False) -> nc.Tensor:
-    combined = nc.add(nc.add(h, nc.smul(layer.eps, h)), neighbor_sum(h, index))
-    z = nc.add_bias(nc.matmul(combined, layer.w1), layer.b1)
-    if not linear:
-        z = nc.relu(z)
-    return nc.add_bias(nc.matmul(z, layer.w2), layer.b2)
+def gin_layer_forward(layer: GINLayer, h: nc.Tensor,
+                      index: _UnionIndex) -> nc.Tensor:
+    """One GIN layer, MLP((1 + eps)·h + neighbour sums), as one tape node.
+
+    Sums run in the order of the equivalent chain of elementwise and matrix
+    ops, so values and gradients match it bit for bit. The pre-activation
+    is checked for non-finite entries before the ReLU can hide one.
+    """
+    hv, e = h.value, layer.eps.value[0, 0]
+    w1, w2 = layer.w1.value, layer.w2.value
+    combined = (hv + e * hv) + index.neighbor(hv)
+    z = combined @ w1
+    z += layer.b1.value
+    mask = nc.check_finite(z) > 0.0
+    r = np.maximum(z, 0.0, out=z)  # np.where(mask, z, 0.0), branch-free;
+    r += 0.0                       # adding +0.0 turns any -0.0 into +0.0
+    out = r @ w2
+    out += layer.b2.value
+    memo = {}
+
+    def chain(g):  # gradients at z and at combined, once per pass
+        if memo.get("g") is not g:
+            gz = (g @ w2.T) * mask
+            memo.update(g=g, gz=gz, gc=gz @ w1.T)
+        return memo["gz"], memo["gc"]
+
+    def grad_b2(g):
+        memo.clear()  # b2 is served last, so the pass is done with the chain
+        return g.sum(axis=0, keepdims=True)
+
+    return nc.op_node(out, [
+        (h, lambda g: (index.neighbor(gc := chain(g)[1]) + gc) + e * gc),
+        (layer.eps, lambda g: np.array([[np.sum(chain(g)[1] * hv)]])),
+        (layer.w1, lambda g: combined.T @ chain(g)[0]),
+        (layer.b1, lambda g: chain(g)[0].sum(axis=0, keepdims=True)),
+        (layer.w2, lambda g: r.T @ g), (layer.b2, grad_b2),
+    ])
 
 
-def encode_batch(enc: EncoderParams, graphs, linear: bool = False) -> nc.Tensor:
+def encode_batch(enc: EncoderParams, graphs) -> nc.Tensor:
     """Representations for a batch of graphs, one row per graph, on the tape."""
     if not graphs:
         raise ValueError("cannot encode an empty batch")
@@ -255,13 +285,13 @@ def encode_batch(enc: EncoderParams, graphs, linear: bool = False) -> nc.Tensor:
     index = _UnionIndex(graphs)
     h = nc.constant(np.concatenate([g.features for g in graphs], axis=0))
     for layer in enc.layers:
-        h = gin_layer_forward(layer, h, index, linear=linear)
+        h = gin_layer_forward(layer, h, index)
     return segment_sum(h, index)
 
 
-def encode(enc: EncoderParams, graph: Graph, linear: bool = False) -> nc.Tensor:
+def encode(enc: EncoderParams, graph: Graph) -> nc.Tensor:
     """Representation of a single graph as a 1×d tensor."""
-    return encode_batch(enc, [graph], linear=linear)
+    return encode_batch(enc, [graph])
 
 
 def classify(clf: ClassifierParams, z: nc.Tensor) -> nc.Tensor:
@@ -269,7 +299,7 @@ def classify(clf: ClassifierParams, z: nc.Tensor) -> nc.Tensor:
     return nc.add_bias(nc.matmul(z, clf.w), clf.b)
 
 
-def predict(model: Model, graphs, linear: bool = False) -> np.ndarray:
+def predict(model: Model, graphs) -> np.ndarray:
     """Predicted class index per graph.
 
     No gradients are kept: the forward pass runs inside ``nc.no_tape()``,
@@ -278,12 +308,12 @@ def predict(model: Model, graphs, linear: bool = False) -> np.ndarray:
     """
     with nc.no_tape():
         logits = classify(model.classifier,
-                          encode_batch(model.encoder, graphs, linear=linear))
+                          encode_batch(model.encoder, graphs))
     return np.argmax(logits.value, axis=1)
 
 
 def weighted_prediction_step(model: Model, graphs, labels, weights,
-                             optimizer: nc.Adam, linear: bool = False) -> float:
+                             optimizer: nc.Adam) -> float:
     """One optimizer step on the weighted cross-entropy of a batch.
 
     Runs its own forward pass; weights enter the loss as constants. Any
@@ -292,7 +322,7 @@ def weighted_prediction_step(model: Model, graphs, labels, weights,
     params = parameters(model)
     nc.zero_grad(params)
     try:
-        z = encode_batch(model.encoder, graphs, linear=linear)
+        z = encode_batch(model.encoder, graphs)
         loss = nc.softmax_cross_entropy(classify(model.classifier, z),
                                         labels, weights)
         nc.backward(loss)

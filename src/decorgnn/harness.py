@@ -31,7 +31,8 @@ from . import encoder as enc
 from . import globalmem as gm
 from . import numcore as nc
 from .fileio import DataFormatError, atomic_write_text, load_manifest, save_manifest
-from .graphdata import Dataset, SplitSpec, apply_split, gen_triangles_dataset
+from .graphdata import (Dataset, DatasetError, SplitSpec, apply_split,
+                        gen_triangles_dataset)
 
 MODES = ("baseline_uniform", "linear_decorr", "ood_gnn")
 ALLOWED_BATCH_SIZES = (16, 32, 64)
@@ -232,6 +233,9 @@ def _fit_epochs(model: enc.Model, train_set: Dataset, cfg: TrainConfig,
 
     graphs = train_set.graphs
     labels = np.array([g.label for g in graphs])
+    if memory is not None and len(graphs) < cfg.batch_size:
+        raise DatasetError(f"a memory run needs batch_size={cfg.batch_size} "
+                           f"training graphs, got {len(graphs)}")
 
     bounds = list(range(0, len(graphs), cfg.batch_size)) + [len(graphs)]
     if memory is None and len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
@@ -270,6 +274,7 @@ def _fit_epochs(model: enc.Model, train_set: Dataset, cfg: TrainConfig,
                     f"epoch {epoch} batch {batch_idx}: {err}") from err
             losses.append(float(loss.value[0, 0]))
 
+        del z, loss  # free the last tape before the caller scores the model
         yield (float(np.mean(losses)),
                float(np.mean(objectives)) if objectives else None,
                np.concatenate(epoch_weights))
@@ -286,6 +291,7 @@ def train(train_set: Dataset, test_set: Dataset,
     earlier, so the batch before it holds ``batch_size - 1`` graphs and the
     tail holds two. The batch count stays ceil(n / batch_size) and every
     batch can be reweighted, since a covariance needs at least two rows.
+    A run with memory needs one full batch, or raises DatasetError at once.
     Train and test accuracy are scored after every epoch.
     Raises DivergenceError (with epoch and batch position) if any step
     produces non-finite values.

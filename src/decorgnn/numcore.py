@@ -39,6 +39,13 @@ def _as_matrix(values) -> np.ndarray:
     return arr
 
 
+def check_finite(value: np.ndarray) -> np.ndarray:
+    """Return ``value``; raise NonFiniteError if it holds NaN or infinity."""
+    if not np.isfinite(value).all():
+        raise NonFiniteError("matrix contains non-finite entries")
+    return value
+
+
 class Tensor:
     """A matrix node on the gradient tape.
 
@@ -52,10 +59,7 @@ class Tensor:
 
     def __init__(self, values, requires_grad: bool = True,
                  _parents: tuple = (), _grad_fns: tuple = ()):
-        value = _as_matrix(values)
-        if not np.isfinite(value).all():
-            raise NonFiniteError("matrix contains non-finite entries")
-        self.value = value
+        self.value = check_finite(_as_matrix(values))
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents = _parents
@@ -332,7 +336,7 @@ def zeros_param(rows: int, cols: int) -> Tensor:
 
 
 class Adam:
-    """Adaptive moment estimation over a fixed list of parameter tensors."""
+    """Adaptive moment estimation over parameter tensors, as flat buffers."""
 
     def __init__(self, params: Sequence[Tensor], lr: float,
                  betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
@@ -341,19 +345,23 @@ class Adam:
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.t = 0
-        self._m = [np.zeros(p.shape) for p in self.params]
-        self._v = [np.zeros(p.shape) for p in self.params]
+        sizes = [p.value.size for p in self.params]
+        self._splits = np.cumsum(sizes)[:-1]
+        self._m, self._v = np.zeros((2, sum(sizes)))
 
     def step(self) -> None:
-        """Apply one update from the gradients currently on the parameters."""
+        """One update from each parameter's gradient and current value."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bias1 = 1.0 - b1 ** self.t
         bias2 = 1.0 - b2 ** self.t
-        for p, m, v in zip(self.params, self._m, self._v):
-            g = p.grad if p.grad is not None else 0.0
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * np.square(g)
-            p.value = p.value - self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+        g = np.concatenate([np.zeros(p.value.size) if p.grad is None
+                            else p.grad.ravel() for p in self.params])
+        value = np.concatenate([p.value.ravel() for p in self.params])
+        self._m *= b1
+        self._m += (1.0 - b1) * g
+        self._v *= b2
+        self._v += (1.0 - b2) * np.square(g)
+        value -= self.lr * (self._m / bias1) / (np.sqrt(self._v / bias2) + self.eps)
+        for p, new in zip(self.params, np.split(value, self._splits)):
+            p.value = new.reshape(p.value.shape)

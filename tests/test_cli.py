@@ -98,6 +98,22 @@ def test_train_corrupt_data_file_exits_2(tmp_path, capsys):
         assert err.count("\n") == 1
 
 
+def test_memory_run_smaller_than_a_batch_exits_2(tmp_path, capsys):
+    data = tmp_path / "small.jsonl"
+    assert cli.main(["gen", "--out", str(data), "--count", "40",
+                     "--seed", "0"]) == 0
+    capsys.readouterr()
+    code = cli.main(["train", "--data", str(data),
+                     "--results", str(tmp_path / "r.jsonl"),
+                     "k_groups=1", "gammas=0.5", "split_kind=by_size",
+                     "split_max_nodes=6", "epochs=1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("data error: ") and "batch_size=32" in err
+    assert not (tmp_path / "r.jsonl").exists()
+
+
 def test_divergence_exits_3(data_file, tmp_path, monkeypatch, capsys):
     def explode(*args, **kwargs):
         raise DivergenceError("epoch 0 batch 1: synthetic")

@@ -383,6 +383,23 @@ def test_hsic_detects_nonlinear_dependence_without_correlation():
     assert stat > threshold
 
 
+def test_permutation_threshold_matches_a_fancy_index_reference():
+    rng = np.random.default_rng(65)
+    x = rng.standard_normal(64)
+    y = x ** 2 + 0.3 * rng.standard_normal(64)
+    stat, threshold = dc.hsic_permutation_threshold(x, y, shuffles=50,
+                                                    rng_seed=4)
+    kc = dc._center(dc._gaussian_kernel(x, None))
+    l = dc._gaussian_kernel(y, None)
+    perm_rng = np.random.default_rng(4)
+    null = []
+    for _ in range(50):
+        p = perm_rng.permutation(64)
+        null.append(np.vdot(kc, l[np.ix_(p, p)]) / 64 ** 2)
+    assert stat == dc.hsic_gaussian(x, y)
+    assert threshold == float(np.quantile(null, 0.95))
+
+
 def test_permutation_statistics_match_direct_recomputation():
     rng = np.random.default_rng(64)
     x = rng.standard_normal(32)

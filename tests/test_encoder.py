@@ -16,7 +16,7 @@ def make_model(input_dim, hidden_dim, num_layers, num_classes, seed=0):
     )
 
 
-def loop_encode(enc, g, linear=False):
+def loop_encode(enc, g):
     """Per-node reference: plain Python loops, no tape, no batching."""
     h = g.features.astype(np.float64)
     for layer in enc.layers:
@@ -26,9 +26,7 @@ def loop_encode(enc, g, linear=False):
             nbr[u] += h[v]
             nbr[v] += h[u]
         z = ((1.0 + eps) * h + nbr) @ layer.w1.value + layer.b1.value
-        if not linear:
-            z = np.maximum(z, 0.0)
-        h = z @ layer.w2.value + layer.b2.value
+        h = np.maximum(z, 0.0) @ layer.w2.value + layer.b2.value
     return h.sum(axis=0, keepdims=True)
 
 
@@ -163,6 +161,61 @@ def test_neighbor_sum_gradient_on_a_mixed_union():
     assert nc.grad_check(f, h0) < 1e-6
 
 
+def unfused_layer(layer, h, index):
+    """The layer as a chain of elementwise and matrix ops, each its own node."""
+    combined = nc.add(nc.add(h, nc.smul(layer.eps, h)),
+                      enc_mod.neighbor_sum(h, index))
+    z = nc.relu(nc.add_bias(nc.matmul(combined, layer.w1), layer.b1))
+    return nc.add_bias(nc.matmul(z, layer.w2), layer.b2)
+
+
+def test_fused_layer_matches_the_op_chain_bit_for_bit(monkeypatch):
+    graphs = [Graph(g.num_nodes, g.edges,
+                    np.random.default_rng(g.num_nodes).normal(
+                        size=(g.num_nodes, 8)), 0)
+              for g in mixed_union(seed=29)]
+    index = enc_mod._UnionIndex(graphs)
+    assert index.stacks and index.buckets
+    labels = np.arange(len(graphs)) % 4
+    weights = np.linspace(0.5, 1.5, len(graphs))
+    runs = []
+    for layer_fn in (enc_mod.gin_layer_forward, unfused_layer):
+        monkeypatch.setattr(enc_mod, "gin_layer_forward", layer_fn)
+        model = make_model(8, 6, 3, 4, seed=12)
+        for i, layer in enumerate(model.encoder.layers):
+            layer.eps.value = np.array([[0.3 - 0.25 * i]])
+            layer.b1.value = np.linspace(-0.2, 0.2, 6)[None, :]
+        params = enc_mod.parameters(model)
+        nc.zero_grad(params)
+        z = enc_mod.encode_batch(model.encoder, graphs)
+        loss = nc.softmax_cross_entropy(
+            enc_mod.classify(model.classifier, z), labels, weights)
+        nc.backward(loss)
+        once = [p.grad.copy() for p in params]
+        nc.backward(loss)  # a second pass adds to the stored gradients
+        runs.append((z.value, once, [p.grad for p in params]))
+    (fused_z, fused_once, fused_twice), (chain_z, chain_once, chain_twice) = runs
+    assert np.array_equal(fused_z, chain_z)
+    for got, want in zip(fused_once + fused_twice, chain_once + chain_twice):
+        assert np.array_equal(got, want)
+    for once, twice in zip(fused_once, fused_twice):
+        assert np.array_equal(twice, once + once)
+    assert any(not np.array_equal(g, 0.0) for g in fused_once[:5])
+
+
+def test_fused_layer_raises_on_a_pre_activation_the_relu_would_hide():
+    model = make_model(8, 6, 2, 4, seed=2)
+    graphs = [Graph(g.num_nodes, g.edges, np.ones((g.num_nodes, 8)), 0)
+              for g in sample_graphs(3, seed=93)]
+    # positive inputs times -1e308 overflow to -inf, which ReLU maps to 0
+    model.encoder.layers[0].w1.value = np.full((8, 6), -1e308)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(nc.NonFiniteError):
+            enc_mod.encode_batch(model.encoder, graphs)
+        with pytest.raises(nc.NonFiniteError):
+            enc_mod.predict(model, graphs)
+
+
 def test_edge_array_is_cached_and_read_only():
     g = sample_graphs(1, seed=5)[0]
     arr = g.edge_array
@@ -184,16 +237,6 @@ def test_encode_matches_per_node_loop_reference():
         got = enc_mod.encode(model.encoder, g).value
         want = loop_encode(model.encoder, g)
         assert np.max(np.abs(got - want)) < 1e-12
-
-
-def test_encode_linear_mode_skips_relu():
-    model = make_model(8, 6, 1, 3, seed=9)
-    g = sample_graphs(1, seed=2)[0]
-    got = enc_mod.encode(model.encoder, g, linear=True).value
-    want = loop_encode(model.encoder, g, linear=True)
-    assert np.max(np.abs(got - want)) < 1e-12
-    nonlinear = enc_mod.encode(model.encoder, g).value
-    assert np.max(np.abs(got - nonlinear)) > 1e-8
 
 
 def test_edgeless_graph_uses_only_self_term():
@@ -234,10 +277,9 @@ def test_disjoint_double_copy_encodes_to_twice_the_graph():
         np.vstack([g.features, g.features]),
         0,
     )
-    for linear in (False, True):
-        one = enc_mod.encode(model.encoder, g, linear=linear).value
-        two = enc_mod.encode(model.encoder, doubled, linear=linear).value
-        assert np.max(np.abs(two - 2.0 * one)) < 1e-11
+    one = enc_mod.encode(model.encoder, g).value
+    two = enc_mod.encode(model.encoder, doubled).value
+    assert np.max(np.abs(two - 2.0 * one)) < 1e-11
 
 
 def test_encode_batch_validates_inputs():

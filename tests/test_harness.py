@@ -8,7 +8,7 @@ from decorgnn import encoder as enc
 from decorgnn import harness as hn
 from decorgnn import numcore as nc
 from decorgnn.fileio import DataFormatError
-from decorgnn.graphdata import (Dataset, SplitSpec, apply_split,
+from decorgnn.graphdata import (Dataset, DatasetError, SplitSpec, apply_split,
                                 gen_triangles_dataset)
 
 
@@ -109,6 +109,16 @@ def test_ragged_last_batch_dropped_with_memory(size_split):
     _, report = hn.train(train_set, test_set, cfg)
     full_batches = len(train_set) // cfg.batch_size
     assert len(report.final_weights) == full_batches * cfg.batch_size
+
+
+def test_memory_run_on_less_than_one_batch_is_refused(size_split,
+                                                     monkeypatch):
+    train_set, test_set = size_split
+    small = Dataset(train_set.graphs[:20], train_set.num_classes,
+                    train_set.feature_dim)
+    monkeypatch.setattr(enc, "encode_batch", None)  # no batch may start
+    with pytest.raises(DatasetError, match="batch_size=32 training graphs, got 20"):
+        hn.train(small, test_set, small_cfg(k_groups=1, gammas=(0.5,)))
 
 
 def _record_reweighted_batch_sizes(monkeypatch):

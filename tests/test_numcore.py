@@ -289,6 +289,35 @@ def test_adam_moves_parameters_against_gradient():
     assert w.value[0, 0] < 1.0 and w.value[0, 1] < -1.0
 
 
+def test_flat_adam_matches_a_per_parameter_update_bit_for_bit():
+    rng = np.random.default_rng(17)
+    shapes = [(3, 4), (1, 1), (1, 5), (6, 2)]
+    params = [nc.Tensor(rng.standard_normal(s)) for s in shapes]
+    want = [p.value.copy() for p in params]
+    m = [np.zeros(s) for s in shapes]
+    v = [np.zeros(s) for s in shapes]
+    opt = nc.Adam(params, lr=1e-3)
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    for t in range(1, 4):
+        for i, p in enumerate(params):
+            # the (1, 5) parameter never gets a gradient
+            p.grad = None if i == 2 else rng.standard_normal(p.shape)
+        if t == 3:
+            # a caller rebinds a value between steps, as load_checkpoint does
+            params[0].value = rng.standard_normal(shapes[0])
+            want[0] = params[0].value.copy()
+        opt.step()
+        for i, p in enumerate(params):
+            g = p.grad if p.grad is not None else 0.0
+            m[i] = b1 * m[i] + (1.0 - b1) * g
+            v[i] = b2 * v[i] + (1.0 - b2) * np.square(g)
+            want[i] = want[i] - 1e-3 * (m[i] / (1.0 - b1 ** t)) / (
+                np.sqrt(v[i] / (1.0 - b2 ** t)) + eps)
+        for p, w in zip(params, want):
+            assert p.value.shape == w.shape
+            assert np.array_equal(p.value, w)
+
+
 def test_glorot_uniform_bounds_and_determinism():
     a = nc.glorot_uniform(30, 50, np.random.default_rng(9))
     b = nc.glorot_uniform(30, 50, np.random.default_rng(9))
