@@ -108,9 +108,12 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    seeds = [int(p) for p in args.seeds.split(",") if p]
-    if not seeds:
-        raise UsageError("need at least one seed")
+    try:
+        seeds = [int(p) for p in args.seeds.split(",") if p]
+    except ValueError as err:
+        raise UsageError(f"bad --seeds: {err}") from err
+    if not seeds or min(seeds) < 0:
+        raise UsageError("need one or more nonnegative seeds")
     overrides, _ = parse_config_pairs(args.config)
     for banned in ("mode", "seed", "lr"):
         if banned in overrides:
@@ -123,6 +126,8 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    if args.bins < 1:
+        raise UsageError(f"--bins must be at least 1, got {args.bins}")
     records, summary = hn.load_results(args.results)
     cfg = summary["config"]
     print(f"mode={cfg['mode']} seed={cfg['seed']} lr={cfg['lr']} "

@@ -6,7 +6,8 @@ random Fourier feature maps: the squared Frobenius norm of the weighted
 partial cross-covariance between mapped columns. Summed over dimension
 pairs this gives a differentiable objective in the per-sample weights,
 minimized by projected gradient descent under the constraints
-sum(w) = N and w >= W_MIN.
+sum(w) = N and w >= W_MIN. Each solve allocates its buffers once and
+scores every step in them, bit for bit as fresh arrays would.
 
 An independent Gaussian-kernel HSIC estimator is included as the
 statistical oracle the objective is validated against.
@@ -14,6 +15,7 @@ statistical oracle the objective is validated against.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -105,12 +107,11 @@ class ReweightConfig:
 
 def _draw(rng, shape: tuple, q: int) -> np.ndarray:
     """Banks as one [*shape × (freqs, phases) × q] array, drawn in C order,
-    each as frequencies then phases; the generator's stream is that order."""
-    fields = np.empty((*shape, 2, q))
-    for bank in fields.reshape(-1, 2, q):
-        bank[0] = rng.standard_normal(q)
-        bank[1] = rng.uniform(0.0, 2.0 * np.pi, size=q)
-    return fields
+    each as frequencies then phases (scalars when q = 1, the same stream)."""
+    size = None if q == 1 else q
+    fields = np.array([(rng.standard_normal(size), rng.uniform(0.0, 2.0 * np.pi, size))
+                       for _ in range(math.prod(shape))])
+    return fields.reshape(*shape, 2, q)
 
 
 def sample_bank(q: int, rng) -> RFFBank:
@@ -151,15 +152,6 @@ def _weights_array(weights, n: int) -> np.ndarray:
     return w
 
 
-def _centered_cov(f, g, w):
-    """Centred weighted maps A, B and their cross-covariance A^T B / (N-1)."""
-    wf = w[:, None] * f
-    wg = w[:, None] * g
-    a = wf - wf.mean(axis=0)
-    b = wg - wg.mean(axis=0)
-    return a, b, a.T @ b / (w.size - 1)
-
-
 def weighted_partial_cov(zi, zj, weights, f_bank: RFFBank | None,
                          g_bank: RFFBank | None) -> np.ndarray:
     """Weighted partial cross-covariance between two mapped columns.
@@ -178,8 +170,8 @@ def weighted_partial_cov(zi, zj, weights, f_bank: RFFBank | None,
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
     w = _weights_array(weights, n)
-    return _centered_cov(feature_matrix(zi, f_bank),
-                         feature_matrix(zj, g_bank), w)[2]
+    return _Problem(feature_matrix(zi, f_bank), feature_matrix(zj, g_bank),
+                    1.0).cov(w)
 
 
 def dims_kept(d: int, fraction: float) -> int:
@@ -257,34 +249,96 @@ def _setup(z, weights, banks, pairs):
     return w, *_maps(z, fields), _mask(rows, cols, d, q)
 
 
-def _objective_core(w, f_flat, g_flat, mask, want_grad: bool, l2_lambda: float):
-    # C blocks reproduce weighted_partial_cov for every pair at once:
-    # A = centered(w*F), B = centered(w*G), C = A^T B / (N-1).
-    a, b, c = _centered_cov(f_flat, g_flat, w)
-    cm = c * mask
-    objective = float(np.vdot(cm, cm)) + l2_lambda * float(w @ w)
-    if not want_grad:
-        return objective, None
-    # d||masked C||^2/dw_n from the product rule over the two weighted
-    # centerings; raw maps pair with the opposing centered block.
-    term1 = ((f_flat @ cm) * b).sum(axis=1)
-    term2 = ((a @ cm) * g_flat).sum(axis=1)
-    grad = (2.0 / (w.size - 1)) * (term1 + term2) + 2.0 * l2_lambda * w
-    return objective, grad
+class _Problem:
+    """One objective's buffers, allocated once: w -> ||M∘C(w)||² + λ||w||²
+    and, if asked, its gradient. C(w) = AᵀB/(N-1), A = centred(w*F) and
+    B = centred(w*G) is weighted_partial_cov for every pair at once; the
+    stacks FA = [F; A] and BG = [B; G] give both gradient terms from one
+    product FA @ C."""
+
+    def __init__(self, f, g, mask, l2_lambda: float = 0.0):
+        n, width = f.shape
+        self.n, self.mask, self.l2_lambda = n, mask, l2_lambda
+        self.fa, self.bg, self.t = np.empty((3, 2 * n, width))
+        self.fa[:n], self.bg[n:] = f, g
+        self.c = np.empty((width, width))
+
+    def cov(self, w: np.ndarray) -> np.ndarray:
+        """The masked C(w), held in the workspace until the next call."""
+        n = self.n
+        for raw, out in ((self.fa[:n], self.fa[n:]), (self.bg[n:], self.bg[:n])):
+            np.multiply(w[:, None], raw, out=out)
+            out -= out.sum(axis=0) / n  # bit-identical to .mean(axis=0)
+        c = np.matmul(self.fa[n:].T, self.bg[:n], out=self.c)
+        c /= n - 1
+        c *= self.mask
+        return c
+
+    def __call__(self, w: np.ndarray, want_grad: bool):
+        c = self.cov(w)
+        objective = float(np.vdot(c, c)) + self.l2_lambda * float(w @ w)
+        if not want_grad:
+            return objective, None
+        # d||M∘C||²/dw_n by the product rule: row n of (F @ C) * B plus row
+        # n of (A @ C) * G, the two halves of (FA @ C) * BG.
+        n = self.n
+        t = np.matmul(self.fa, c, out=self.t)
+        t *= self.bg
+        rows = t.sum(axis=1)
+        grad = (2.0 / (n - 1)) * (rows[:n] + rows[n:]) + 2.0 * self.l2_lambda * w
+        return objective, grad
 
 
 def decorrelation_objective(z, weights, banks, pairs) -> float:
     """Sum over pairs (i, j) of the squared Frobenius norm of the weighted
     partial cross-covariance between mapped columns i and j."""
     COUNTERS["decorrelation_objective"] += 1
-    return _objective_core(*_setup(z, weights, banks, pairs), False, 0.0)[0]
+    w, *maps = _setup(z, weights, banks, pairs)
+    return _Problem(*maps)(w, False)[0]
 
 
 def objective_grad_weights(z, weights, banks, pairs,
                            l2_lambda: float = 0.0) -> np.ndarray:
     """Exact gradient of decorrelation_objective + l2_lambda * ||w||^2 in w."""
     COUNTERS["objective_grad_weights"] += 1
-    return _objective_core(*_setup(z, weights, banks, pairs), True, l2_lambda)[1]
+    w, *maps = _setup(z, weights, banks, pairs)
+    return _Problem(*maps, l2_lambda)(w, True)[1]
+
+
+def _free_target(w: np.ndarray, total: float, free) -> tuple[np.ndarray, float]:
+    """Indices of the adjustable weights and the sum they must reach once
+    the frozen ones are held; an unreachable sum is an OptimizationError."""
+    free_mask = np.ones(w.size, dtype=bool) if free is None else np.asarray(free, dtype=bool)
+    idx = np.flatnonzero(free_mask)
+    target = total - float(w[~free_mask].sum())
+    if idx.size and target < W_MIN * idx.size - 1e-12:
+        raise OptimizationError(
+            f"cannot reach sum {target} with {idx.size} weights floored at {W_MIN}")
+    return idx, target
+
+
+def _rescale(vals: np.ndarray, target: float) -> np.ndarray:
+    """Clamp to >= W_MIN and rescale to sum to ``target``, repeating on the
+    entries still above the floor until both hold."""
+    vals = np.maximum(vals, W_MIN)
+    if vals.min() > W_MIN:  # nothing on the floor: the loop's first pass
+        scaled = vals * (target / vals.sum())
+        if scaled.min() >= W_MIN:
+            return scaled
+    for _ in range(vals.size):
+        above = vals > W_MIN
+        if not above.any():
+            # target may sit below W_MIN * size by the roundoff the
+            # feasibility check allows
+            vals[:] = max(target / vals.size, W_MIN)
+            break
+        pinned = W_MIN * float(np.count_nonzero(~above))
+        scaled = vals[above] * ((target - pinned) / vals[above].sum())
+        if scaled.min() >= W_MIN:
+            vals[above] = scaled
+            break
+        vals[above] = np.maximum(scaled, W_MIN)
+    return vals
 
 
 def project_weights(w: np.ndarray, total: float | None = None,
@@ -297,31 +351,9 @@ def project_weights(w: np.ndarray, total: float | None = None,
     outside ``free`` are treated as constants and never move.
     """
     w = np.array(w, dtype=np.float64)
-    if total is None:
-        total = float(w.size)
-    free_mask = np.ones(w.size, dtype=bool) if free is None else np.asarray(free, dtype=bool)
-    idx = np.flatnonzero(free_mask)
-    if idx.size == 0:
-        return w
-    target = total - float(w[~free_mask].sum())
-    if target < W_MIN * idx.size - 1e-12:
-        raise OptimizationError(
-            f"cannot reach sum {target} with {idx.size} weights floored at {W_MIN}")
-    vals = np.maximum(w[idx], W_MIN)
-    for _ in range(idx.size):
-        above = vals > W_MIN
-        if not above.any():
-            # target may sit below W_MIN * size by the roundoff the
-            # feasibility check allows
-            vals[:] = max(target / idx.size, W_MIN)
-            break
-        pinned = W_MIN * float(np.count_nonzero(~above))
-        scaled = vals[above] * ((target - pinned) / vals[above].sum())
-        if scaled.min() >= W_MIN:
-            vals[above] = scaled
-            break
-        vals[above] = np.maximum(scaled, W_MIN)
-    w[idx] = vals
+    idx, target = _free_target(w, float(w.size) if total is None else total, free)
+    if idx.size:
+        w[idx] = _rescale(w[idx], target)
     return w
 
 
@@ -340,10 +372,12 @@ def optimize_weights(z, w0: WeightVector, cfg: ReweightConfig, *,
 
     Maps and pair mask are drawn once at entry from ``seed`` (falls back to
     ``cfg.seed``) as arrays, from the stream ``sample_banks`` then
-    ``sample_pairs`` would use. ``free`` masks which weights may move; the
-    projection rescales only those, holding the rest as constants while the
-    full vector keeps sum(w) = N. ``telemetry``, when given, receives
-    (step, objective, weights) after each projection.
+    ``sample_pairs`` would use, into one workspace every step reuses.
+    ``free`` masks which weights may move; the projection rescales only
+    those, holding the rest as constants while the full vector keeps
+    sum(w) = N, so the sum the free ones must reach is fixed at entry.
+    ``telemetry``, when given, receives (step, objective, weights) after
+    each projection.
     """
     COUNTERS["optimize_weights"] += 1
     z, w = _inputs(z, w0)
@@ -351,21 +385,22 @@ def optimize_weights(z, w0: WeightVector, cfg: ReweightConfig, *,
     w = w.copy()
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
     q = 1 if linear else cfg.q
-    f_flat, g_flat = _maps(z, None if linear else _draw(rng, (d, 2), q))
-    mask = _mask(*_pair_index(d, cfg.pair_fraction, rng), d, q)
-    movable = True if free is None else np.asarray(free, dtype=bool)
+    maps = _maps(z, None if linear else _draw(rng, (d, 2), q))
+    problem = _Problem(*maps, _mask(*_pair_index(d, cfg.pair_fraction, rng), d, q),
+                       cfg.l2_lambda)
+    idx, target = _free_target(w, float(n), free)
 
     history = []
     for step in range(cfg.epochs_reweight):
-        objective, grad = _objective_core(w, f_flat, g_flat, mask, True, cfg.l2_lambda)
+        objective, grad = problem(w, True)
         if not np.isfinite(objective) or not np.isfinite(grad).all():
             raise OptimizationError(f"non-finite objective or gradient at step {step}")
         history.append(objective)
-        step_vec = np.where(movable, cfg.lr_w * grad, 0.0)
-        w = project_weights(w - step_vec, total=float(n), free=free)
+        if idx.size:
+            w[idx] = _rescale(w[idx] - cfg.lr_w * grad[idx], target)
         if telemetry is not None:
             telemetry(step, objective, w.copy())
-    final, _ = _objective_core(w, f_flat, g_flat, mask, False, cfg.l2_lambda)
+    final, _ = problem(w, False)
     if not np.isfinite(final):
         raise OptimizationError("non-finite final objective")
     history.append(final)

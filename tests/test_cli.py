@@ -151,6 +151,22 @@ def test_report_histogram_refused_for_uniform_runs(data_file, tmp_path,
                      "--histogram"]) == 1
 
 
+def test_report_rejects_nonpositive_bins(data_file, tmp_path, capsys):
+    results = tmp_path / "run.jsonl"
+    assert cli.main(["train", "--data", str(data_file),
+                     "--results", str(results),
+                     "mode=ood_gnn", "epochs=1", "hidden_dim=16",
+                     "epochs_reweight=2"]) == 0
+    for bins in ("0", "-3"):
+        capsys.readouterr()
+        assert cli.main(["report", "--results", str(results), "--histogram",
+                         "--bins", bins]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+
 def test_report_missing_file_exits_2(tmp_path, capsys):
     assert cli.main(["report", "--results", str(tmp_path / "no.jsonl")]) == 2
     results = tmp_path / "run.jsonl"
@@ -228,3 +244,12 @@ def test_experiment_rejects_reserved_keys(tmp_path):
 def test_experiment_rejects_unknown_name(tmp_path):
     assert cli.main(["experiment", "--name", "other",
                      "--out-dir", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize("seeds", ["1,x", "-1", ","])
+def test_experiment_rejects_bad_seeds(tmp_path, capsys, seeds):
+    assert cli.main(["experiment", "--name", "triangles_size_shift",
+                     "--out-dir", str(tmp_path), "--seeds", seeds]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not any(tmp_path.iterdir())

@@ -220,6 +220,50 @@ def test_optimize_weights_follows_the_public_stream_exactly(q, fraction, linear,
             assert np.array_equal(got_bank.phases, want_bank.phases)
 
 
+def _reference_objective(w, f, g, mask, l2_lambda):
+    """The per-step objective and gradient as first written: fresh centred
+    blocks, a masked copy of C and one product per gradient term."""
+    wf = w[:, None] * f
+    wg = w[:, None] * g
+    a = wf - wf.mean(axis=0)
+    b = wg - wg.mean(axis=0)
+    cm = (a.T @ b / (w.size - 1)) * mask
+    objective = float(np.vdot(cm, cm)) + l2_lambda * float(w @ w)
+    term1 = ((f @ cm) * b).sum(axis=1)
+    term2 = ((a @ cm) * g).sum(axis=1)
+    return objective, (2.0 / (w.size - 1)) * (term1 + term2) + 2.0 * l2_lambda * w
+
+
+@pytest.mark.parametrize("n, frozen, d, q, fraction, linear", [
+    (96, 64, 64, 1, 1.0, False),  # a 2-group memory batch
+    (31, 0, 32, 3, 1.0, False),
+    (33, 0, 32, 1, 1.0, True),
+    (96, 64, 64, 1, 0.5, False),
+    (32, 0, 128, 1, 1.0, False),
+])
+def test_workspace_matches_the_reference_objective_bit_for_bit(n, frozen, d, q,
+                                                               fraction, linear):
+    # The stacked product [F; A] @ C must give the rows the two separate
+    # products give. BLAS libraries do not promise that a row's result is
+    # independent of the row count, so it is pinned on workload shapes.
+    rng = np.random.default_rng(47)
+    z = rng.standard_normal((n, d))
+    fields = None if linear else dc._draw(rng, (d, 2), q)
+    f, g = dc._maps(z, fields)
+    width = 1 if linear else q
+    mask = dc._mask(*dc._pair_index(d, fraction, rng), d, width)
+    problem = dc._Problem(f, g, mask, 0.3)
+    draws = [np.ones(n)] + [np.concatenate([np.ones(frozen),
+                                            rng.uniform(0.2, 3.0, n - frozen)])
+                            for _ in range(3)]
+    for w in draws + draws[::-1]:  # revisits catch state left in a buffer
+        want_obj, want_grad = _reference_objective(w, f, g, mask, 0.3)
+        got_obj, got_grad = problem(w, True)
+        assert got_obj == want_obj
+        assert np.array_equal(got_grad, want_grad)
+        assert problem(w, False) == (want_obj, None)
+
+
 @pytest.mark.parametrize("pair", [(1, 1), (2, 1), (0, 4), (-1, 0)])
 def test_objective_rejects_invalid_pairs(pair):
     rng = np.random.default_rng(45)
@@ -263,6 +307,74 @@ def test_project_weights_respects_frozen_entries():
     with pytest.raises(dc.OptimizationError):
         # frozen entries alone exhaust the total; free ones cannot go to zero
         dc.project_weights(np.array([2.0, 2.0, 1.0, 1.0]), free=free)
+
+
+def _reference_project(w, total=None, free=None):
+    """project_weights as first written: one clamp-and-rescale loop that
+    rebuilds the free mask and re-sums the frozen entries on every call."""
+    w = np.array(w, dtype=np.float64)
+    if total is None:
+        total = float(w.size)
+    free_mask = np.ones(w.size, dtype=bool) if free is None else np.asarray(free, dtype=bool)
+    idx = np.flatnonzero(free_mask)
+    if idx.size == 0:
+        return w
+    target = total - float(w[~free_mask].sum())
+    if target < dc.W_MIN * idx.size - 1e-12:
+        raise dc.OptimizationError("infeasible")
+    vals = np.maximum(w[idx], dc.W_MIN)
+    for _ in range(idx.size):
+        above = vals > dc.W_MIN
+        if not above.any():
+            vals[:] = max(target / idx.size, dc.W_MIN)
+            break
+        pinned = dc.W_MIN * float(np.count_nonzero(~above))
+        scaled = vals[above] * ((target - pinned) / vals[above].sum())
+        if scaled.min() >= dc.W_MIN:
+            vals[above] = scaled
+            break
+        vals[above] = np.maximum(scaled, dc.W_MIN)
+    w[idx] = vals
+    return w
+
+
+def test_project_weights_matches_the_reference_loop_bit_for_bit():
+    rng = np.random.default_rng(48)
+    floor = dc.W_MIN
+    cases = [
+        (rng.uniform(0.5, 2.0, 40), None, None),  # no clamp: one rescale
+        (np.array([1000.0, 2e-4, 3e-4, 1.0]), None, None),  # above floor, rescale dips
+        (np.array([5.0, floor, floor, floor]), None, None),
+        (np.array([50.0, 3e-4, -2.0, 2e-4, 1e-3, 0.9]), None, None),  # several passes
+        (np.full(5, floor), None, None),
+        (np.full(4, -1.0), 4 * floor - 1e-13, None),  # all at the floor, roundoff short
+        (np.array([0.5, 0.5, 3.0, 5.0]), None, np.array([False, False, True, True])),
+        (np.array([0.7, 1e-5, 9.0, 0.2, 3.0]), 6.0, np.array([True, False] * 2 + [True])),
+        (np.array([1.0, 2.0]), None, np.zeros(2, bool)),
+    ]
+    for _ in range(200):
+        n = int(rng.integers(2, 40))
+        w = rng.standard_normal(n) * rng.choice([0.01, 1.0, 30.0])
+        free = rng.random(n) < 0.7 if rng.random() < 0.5 else None
+        cases.append((w, float(n), free))
+    for w, total, free in cases:
+        try:
+            want = _reference_project(w, total, free)
+        except dc.OptimizationError:
+            with pytest.raises(dc.OptimizationError):
+                dc.project_weights(w, total, free)
+            continue
+        assert np.array_equal(dc.project_weights(w, total, free), want)
+
+
+def test_optimize_weights_with_nothing_free_keeps_w0():
+    rng = np.random.default_rng(49)
+    z = rng.standard_normal((10, 3))
+    w0 = dc.WeightVector(rng.uniform(0.5, 1.5, 10), 10)
+    cfg = dc.ReweightConfig(epochs_reweight=4, seed=3)
+    result = dc.optimize_weights(z, w0, cfg, free=np.zeros(10, dtype=bool))
+    assert np.array_equal(result.weights.w, w0.w)
+    assert len(result.objectives) == cfg.epochs_reweight + 1
 
 
 def test_optimize_weights_zero_epochs_returns_input():
