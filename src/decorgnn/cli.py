@@ -144,7 +144,13 @@ def _cmd_report(args) -> int:
         weights = summary.get("final_weights")
         if weights is None:
             raise UsageError("this run kept weights uniform; no histogram")
-        counts, edges = np.histogram(np.asarray(weights), bins=args.bins)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                counts, edges = np.histogram(np.asarray(weights),
+                                             bins=args.bins)
+        except ValueError as err:  # a range too wide or too narrow to cut
+            raise DataFormatError(
+                f"{args.results}: final_weights: {err}") from None
         for c, lo, hi in zip(counts, edges[:-1], edges[1:]):
             print(f"[{lo:8.4f}, {hi:8.4f}) {int(c):6d} {'#' * int(c)}")
     return 0

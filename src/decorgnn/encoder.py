@@ -15,7 +15,11 @@ stacks, one per node count in the batch, built from each graph's cached
 edge array; a graph too large and sparse for its n×n block to pay (see
 DENSE_RATIO) is summed over its edges instead. A layer's aggregation then
 costs Σ n_g²·d over the small graphs plus O(E·d) over the large ones, on
-top of the O(total nodes · d²) MLP matmuls.
+top of the O(total nodes · d²) MLP matmuls. When a union lists its graphs
+in node-count order, as evaluation chunks do, each stack covers one
+contiguous row range and its product is written straight into those rows;
+a union in any other order, such as a shuffled training batch, gathers and
+scatters each stack's rows.
 """
 
 from __future__ import annotations
@@ -125,9 +129,14 @@ class _UnionIndex:
     Graphs with n² ≤ DENSE_RATIO·(n + 2E) are grouped by node count: for
     each count n present, the cached edge arrays of the c such graphs are
     scattered into one [c × n × n] 0/1 adjacency stack, kept with the c·n
-    union rows those graphs occupy, and multiplied into those rows. The
-    other, larger and sparser graphs' nodes are grouped by degree k: each
-    group gathers its [m × k] neighbour rows and sums them. A layer's
+    union rows those graphs occupy, and multiplied into those rows. Where
+    those rows form one contiguous range, as in a union listed in node-count
+    order, they are kept as a slice and ``neighbor`` writes the stack's
+    product straight into them; otherwise they are an index array that it
+    gathers from and scatters to. The other, larger and sparser graphs'
+    nodes are grouped by degree k: each group gathers its [m × k] neighbour
+    rows and sums them, and the isolated nodes among them (``idle``) are the
+    only rows that nothing writes, so only they are zeroed. A layer's
     aggregation so costs Σ n_g²·d over the dense graphs plus O(E·d) over
     the rest, and no graph is padded to the batch's largest. The union's
     adjacency is symmetric, so ``neighbor`` is its own transpose and serves
@@ -151,9 +160,17 @@ class _UnionIndex:
         self.buckets = self._degree_buckets(
             np.flatnonzero(~dense), offsets, edges, counts)
 
+        written = np.zeros(self.num_nodes, dtype=bool)
+        for rows, *_ in self.stacks + self.buckets:
+            written[rows] = True
+        self.idle = np.flatnonzero(~written)
+
     @staticmethod
     def _dense_stacks(picked, sizes, offsets, edges, counts):
-        """(union rows, n, [c × n × n] adjacency) per node count n."""
+        """(union rows, n, [c × n × n] adjacency) per node count n.
+
+        The rows are a slice when they are one contiguous range.
+        """
         if not len(picked):
             return []
         order = picked[np.argsort(sizes[picked], kind="stable")]
@@ -178,9 +195,13 @@ class _UnionIndex:
             ([0], np.flatnonzero(np.diff(n_sorted)) + 1, [len(order)]))
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             n = int(n_sorted[lo])
-            stacks.append((
-                rows[row_starts[lo]:row_starts[hi]], n,
-                flat[blocks[lo]:blocks[hi]].reshape(hi - lo, n, n)))
+            stack_rows = rows[row_starts[lo]:row_starts[hi]]
+            # a stable sort keeps each stack's rows increasing
+            first, last = int(stack_rows[0]), int(stack_rows[-1])
+            if last - first + 1 == len(stack_rows):
+                stack_rows = slice(first, last + 1)
+            stacks.append((stack_rows, n,
+                           flat[blocks[lo]:blocks[hi]].reshape(hi - lo, n, n)))
         return stacks
 
     @staticmethod
@@ -203,12 +224,18 @@ class _UnionIndex:
         return buckets
 
     def neighbor(self, h: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(h)
+        out = np.empty_like(h, order="C")  # so row ranges reshape to views
         d = h.shape[1]
         for rows, n, adj in self.stacks:
-            out[rows] = (adj @ h[rows].reshape(-1, n, d)).reshape(-1, d)
+            shape = (len(adj), n, d)
+            if isinstance(rows, slice):
+                np.matmul(adj, h[rows].reshape(shape),
+                          out=out[rows].reshape(shape))
+            else:
+                out[rows] = (adj @ h[rows].reshape(shape)).reshape(-1, d)
         for rows, nbrs in self.buckets:
             out[rows] = h[nbrs].sum(axis=1)
+        out[self.idle] = 0.0
         return out
 
     def pool(self, h: np.ndarray) -> np.ndarray:
@@ -282,8 +309,18 @@ def encode_batch(enc: EncoderParams, graphs) -> nc.Tensor:
             raise nc.DimensionError(
                 f"feature width {g.features.shape[1]} != encoder input "
                 f"{enc.input_dim}")
-    index = _UnionIndex(graphs)
-    h = nc.constant(np.concatenate([g.features for g in graphs], axis=0))
+    return _encode_union(enc, _UnionIndex(graphs),
+                         np.concatenate([g.features for g in graphs], axis=0))
+
+
+def _encode_union(enc: EncoderParams, index: _UnionIndex,
+                  features: np.ndarray) -> nc.Tensor:
+    """``encode_batch`` on a union already indexed, its features stacked."""
+    if features.shape[1] != enc.input_dim:
+        raise nc.DimensionError(
+            f"feature width {features.shape[1]} != encoder input "
+            f"{enc.input_dim}")
+    h = nc.constant(features)
     for layer in enc.layers:
         h = gin_layer_forward(layer, h, index)
     return segment_sum(h, index)
@@ -309,6 +346,15 @@ def predict(model: Model, graphs) -> np.ndarray:
     with nc.no_tape():
         logits = classify(model.classifier,
                           encode_batch(model.encoder, graphs))
+    return np.argmax(logits.value, axis=1)
+
+
+def _predict_union(model: Model, index: _UnionIndex,
+                   features: np.ndarray) -> np.ndarray:
+    """``predict`` on a union already indexed, its features stacked."""
+    with nc.no_tape():
+        logits = classify(model.classifier,
+                          _encode_union(model.encoder, index, features))
     return np.argmax(logits.value, axis=1)
 
 

@@ -14,13 +14,20 @@ class DataFormatError(ValueError):
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write text to path via a temp file and rename, never a partial file."""
+    """Write text to path via a temp file and rename, never a partial file.
+
+    The file gets the mode a plain ``open`` would create it with,
+    0o666 less the process umask; ``mkstemp`` alone would leave it 0o600.
+    """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".partial-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+        umask = os.umask(0)  # reading the umask means setting it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

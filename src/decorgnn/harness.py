@@ -20,8 +20,10 @@ in a sensible operating range regardless of graph size.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,16 +173,45 @@ def init_model(cfg: TrainConfig, feature_dim: int, num_classes: int) -> enc.Mode
     )
 
 
+# Dataset -> {chunk size: _eval_chunks list}; an entry lives as long as its
+# dataset, which hashes by identity
+_EVAL_CHUNKS = weakref.WeakKeyDictionary()
+
+
+def _eval_chunks(dataset: Dataset, chunk: int) -> list:
+    """(union index, stacked features, labels) per chunk, built once."""
+    by_chunk = _EVAL_CHUNKS.setdefault(dataset, {})
+    if chunk not in by_chunk:
+        graphs = sorted(dataset.graphs, key=lambda g: g.num_nodes)
+        parts = []
+        for start in range(0, len(graphs), chunk):
+            part = graphs[start:start + chunk]
+            features = np.concatenate([g.features for g in part], axis=0)
+            features.setflags(write=False)
+            parts.append((enc._UnionIndex(part), features,
+                          np.array([g.label for g in part])))
+        by_chunk[chunk] = parts
+    return by_chunk[chunk]
+
+
 def evaluate(model: enc.Model, dataset: Dataset,
              chunk: int = EVAL_CHUNK) -> float:
-    """Accuracy over a dataset, encoded in fixed-size chunks."""
+    """Accuracy over a dataset, encoded in chunks of ``chunk`` graphs.
+
+    The graphs are taken in node-count order (a stable sort), so graphs of
+    one size share a chunk and each size's adjacency stack is one
+    contiguous row range. Accuracy is a count of hits, so the order moves
+    no result. Each chunk's union index, stacked features and labels are
+    built on the first call for a (dataset, chunk) pair and kept until the
+    dataset is garbage-collected; later calls, such as the per-epoch
+    scoring in ``train``, run only the forward pass. A dataset's graphs
+    are therefore treated as immutable once it has been evaluated.
+    """
     hits = 0
-    graphs = dataset.graphs
-    for start in range(0, len(graphs), chunk):
-        part = graphs[start:start + chunk]
-        pred = enc.predict(model, part)
-        hits += int(np.sum(pred == np.array([g.label for g in part])))
-    return hits / len(graphs)
+    for index, features, labels in _eval_chunks(dataset, chunk):
+        pred = enc._predict_union(model, index, features)
+        hits += int(np.sum(pred == labels))
+    return hits / len(dataset.graphs)
 
 
 def _reweight_batch(z_value, cfg, memory, epoch, batch_idx, stats):
@@ -346,12 +377,21 @@ def write_results(path, report: RunReport) -> None:
     atomic_write_text(path, format_results(report))
 
 
+def _finite_number(value) -> bool:
+    """A JSON number, not a bool, that is finite as a float."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an integer past the float range
+        return False
+
+
 def load_results(path) -> tuple[list, dict]:
     """Parse a results file back into (epoch records, summary).
 
     The summary must carry every field ``decorgnn report`` prints, and so
     must the last epoch record: a numeric ``loss`` and an ``objective``
-    that is a number or null.
+    that is a number or null. A ``final_weights`` entry, which
+    ``report --histogram`` bins, must be null or a list of finite numbers.
     """
     records, summary = [], None
     with open(path, "r", encoding="utf-8") as fh:
@@ -380,6 +420,12 @@ def load_results(path) -> tuple[list, dict]:
     for field in ("final_train_acc", "final_test_acc"):
         if type(summary[field]) not in (int, float):
             raise DataFormatError(f"{path}: summary {field} is not a number")
+    weights = summary.get("final_weights")
+    if weights is not None and not (
+            isinstance(weights, list) and all(map(_finite_number, weights))):
+        raise DataFormatError(
+            f"{path}: summary final_weights must be null or a list of "
+            f"finite numbers")
     if records:
         last = records[-1]
         if (type(last.get("loss")) not in (int, float)

@@ -253,3 +253,28 @@ def test_experiment_rejects_bad_seeds(tmp_path, capsys, seeds):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not any(tmp_path.iterdir())
+
+
+def test_report_histogram_rejects_weights_it_cannot_bin(tmp_path, capsys):
+    summary = {"kind": "summary",
+               "config": {"mode": "ood_gnn", "seed": 0, "lr": 0.001},
+               "epochs_run": 1, "final_train_acc": 0.5,
+               "final_test_acc": 0.25, "constraint_checks": 2,
+               "constraint_violations": 0}
+    results = tmp_path / "run.jsonl"
+    for weights in ("abc", [1, None], [1.0, True], [0.5, float("nan")],
+                    [float("inf")], [10 ** 400], {"w": 1.0}, 2.0,
+                    [1e308, -1e308], [0.0, 5e-324]):
+        results.write_text(json.dumps({**summary, "final_weights": weights})
+                           + "\n")
+        capsys.readouterr()
+        assert cli.main(["report", "--results", str(results),
+                         "--histogram"]) == 2, weights
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "final_weights" in err
+        assert err.count("\n") == 1
+    for weights in ([1.5, 0.5, 1], []):
+        results.write_text(json.dumps({**summary, "final_weights": weights})
+                           + "\n")
+        assert cli.main(["report", "--results", str(results),
+                         "--histogram", "--bins", "2"]) == 0, weights

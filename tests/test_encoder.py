@@ -145,6 +145,44 @@ def test_union_index_stacks_only_graphs_whose_block_pays():
     assert np.max(np.abs(out - want.reshape(-1, 4))) < 1e-12
 
 
+def test_node_count_ordered_union_writes_stacks_in_place(monkeypatch):
+    empty_like = np.empty_like
+
+    def poisoned(*args, **kwargs):  # so an unwritten row cannot read as 0
+        out = empty_like(*args, **kwargs)
+        out.fill(np.nan)
+        return out
+
+    monkeypatch.setattr(np, "empty_like", poisoned)
+    shuffled = mixed_union(seed=31)
+    graphs = sorted(shuffled, key=lambda g: g.num_nodes)
+    index = enc_mod._UnionIndex(graphs)
+    assert index.stacks and index.buckets
+    assert all(isinstance(rows, slice) for rows, _, _ in index.stacks)
+    # the shuffled union interleaves the two 9- and 6-node graphs
+    assert not all(isinstance(rows, slice)
+                   for rows, _, _ in enc_mod._UnionIndex(shuffled).stacks)
+    # the same stacks taken through the gather/scatter form
+    gathered = enc_mod._UnionIndex(graphs)
+    gathered.stacks = [(np.arange(rows.start, rows.stop), n, adj)
+                       for rows, n, adj in index.stacks]
+    # the isolated nodes of the gather-form graphs (the ring's 50, the
+    # edgeless graph's 200, the random graph's few) are the only rows that
+    # stacks and buckets leave unwritten
+    starts = np.cumsum([0] + [g.num_nodes for g in graphs])
+    idle = [start + v for start, g in zip(starts, graphs) if g.num_nodes >= 200
+            for v in range(g.num_nodes) if v not in g.edge_array]
+    assert np.array_equal(index.idle, idle) and len(idle) > 250
+    rng = np.random.default_rng(4)
+    for width in (1, 5, 64):
+        h = rng.normal(size=(index.num_nodes, width))
+        out = index.neighbor(h)
+        assert np.array_equal(out, gathered.neighbor(h))
+        assert not out[index.idle].any()
+        want = block_diagonal_adjacency(graphs) @ h
+        assert np.max(np.abs(out - want)) < 1e-12
+
+
 def test_neighbor_sum_gradient_on_a_mixed_union():
     graphs = mixed_union(seed=23)
     index = enc_mod._UnionIndex(graphs)

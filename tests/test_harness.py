@@ -1,4 +1,7 @@
+import gc
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -7,9 +10,9 @@ from decorgnn import decorrelation as dc
 from decorgnn import encoder as enc
 from decorgnn import harness as hn
 from decorgnn import numcore as nc
-from decorgnn.fileio import DataFormatError
-from decorgnn.graphdata import (Dataset, DatasetError, SplitSpec, apply_split,
-                                gen_triangles_dataset)
+from decorgnn.fileio import DataFormatError, atomic_write_text
+from decorgnn.graphdata import (Dataset, DatasetError, Graph, SplitSpec,
+                                apply_split, gen_triangles_dataset)
 
 
 @pytest.fixture(scope="module")
@@ -176,6 +179,91 @@ def test_evaluate_matches_whole_dataset_prediction(size_split):
     assert acc == pytest.approx(want, abs=1e-12)
 
 
+def mixed_size_dataset(seed=8):
+    """Triangle graphs of 5-16 nodes with random features, plus graphs that
+    the union index sums over their edges (a 150-node ring padded with 50
+    isolated nodes, an edgeless 200-node graph), in a shuffled order."""
+    rng = np.random.default_rng(seed)
+    ring = tuple((i, i + 1) for i in range(149)) + ((0, 149),)
+    graphs = gen_triangles_dataset(90, 5, 16, rng_seed=seed).graphs + [
+        Graph(200, ring, np.zeros((200, 1)), 3),
+        Graph(200, (), np.zeros((200, 1)), 4)]
+    graphs = [Graph(g.num_nodes, g.edges, rng.normal(size=(g.num_nodes, 5)),
+                    g.label) for g in graphs]
+    order = rng.permutation(len(graphs))
+    return Dataset([graphs[i] for i in order], num_classes=10, feature_dim=5)
+
+
+def random_model(feature_dim, seed=4):
+    model = hn.init_model(small_cfg(seed=seed), feature_dim, 10)
+    rng = np.random.default_rng(seed)
+    for tensor in enc.parameters(model):
+        tensor.value = tensor.value + 0.3 * rng.normal(size=tensor.shape)
+    return model
+
+
+def test_evaluate_in_node_count_order_matches_per_graph_prediction():
+    dataset = mixed_size_dataset()
+    model = random_model(dataset.feature_dim)
+    graphs = dataset.graphs
+    single = np.vstack([enc.encode_batch(model.encoder, [g]).value
+                        for g in graphs])
+    pred = np.concatenate([enc.predict(model, [g]) for g in graphs])
+    labels = np.array([g.label for g in graphs])
+    assert len(set(pred)) > 2  # not one class for every graph
+    want = np.sum(pred == labels) / len(graphs)
+    by_size = sorted(range(len(graphs)), key=lambda i: graphs[i].num_nodes)
+    for chunk in (1, 7, 64):
+        assert hn.evaluate(model, dataset, chunk=chunk) == want
+        parts = hn._eval_chunks(dataset, chunk)
+        assert [len(part[2]) for part in parts][:-1] == (
+            [chunk] * (len(parts) - 1))
+        # the chunks hold the graphs in node-count order, ties as listed
+        at = 0
+        for index, features, part_labels in parts:
+            ids = by_size[at:at + len(part_labels)]
+            at += len(ids)
+            assert np.array_equal(part_labels, labels[ids])
+            # representations match bit for bit; the classifier's product
+            # of one row alone takes another BLAS path, so the chunk is
+            # compared with the single-graph rows stacked
+            z = enc._encode_union(model.encoder, index, features)
+            assert np.array_equal(z.value, single[ids])
+            assert np.array_equal(
+                enc.classify(model.classifier, z).value,
+                enc.classify(model.classifier, nc.constant(single[ids])).value)
+            assert np.array_equal(enc._predict_union(model, index, features),
+                                  pred[ids])
+        assert at == len(graphs)
+
+
+def test_a_second_evaluate_builds_no_union_index(monkeypatch):
+    dataset = mixed_size_dataset(seed=9)
+    model, other = (random_model(dataset.feature_dim, seed=s) for s in (4, 5))
+    labels = [g.label for g in dataset.graphs]
+    other_acc = np.mean(enc.predict(other, dataset.graphs) == labels)
+    built = []
+
+    class Counting(enc._UnionIndex):
+        def __init__(self, graphs):
+            built.append(len(graphs))
+            super().__init__(graphs)
+
+    monkeypatch.setattr(enc, "_UnionIndex", Counting)
+    hn.evaluate(model, dataset)
+    assert built == [64, 28]
+    assert hn.evaluate(other, dataset) == other_acc
+    assert built == [64, 28]
+    hn.evaluate(model, dataset, chunk=50)
+    assert built == [64, 28, 50, 42]
+    # the memo lives only as long as its dataset
+    assert dataset in hn._EVAL_CHUNKS
+    held = len(hn._EVAL_CHUNKS)
+    del dataset
+    gc.collect()
+    assert len(hn._EVAL_CHUNKS) == held - 1
+
+
 def test_divergence_error_names_epoch_and_batch(size_split, monkeypatch):
     train_set, test_set = size_split
 
@@ -332,6 +420,24 @@ def test_load_manifest_rejects_malformed_records(tmp_path):
                         + "\n")
         with pytest.raises(DataFormatError, match="bad.jsonl:2"):
             load_manifest(path)
+
+
+def test_written_files_take_the_mode_open_would_give(tmp_path):
+    before = os.umask(0o022)
+    try:
+        for umask in (0o022, 0o077, 0o002):
+            os.umask(umask)
+            plain = tmp_path / f"plain{umask:o}"
+            plain.write_text("x")
+            written = tmp_path / f"written{umask:o}"
+            atomic_write_text(written, "x")
+            atomic_write_text(written, "y")  # a replaced file too
+            assert written.read_text() == "y"
+            assert (stat.S_IMODE(written.stat().st_mode)
+                    == stat.S_IMODE(plain.stat().st_mode)
+                    == 0o666 & ~umask)
+    finally:
+        os.umask(before)
 
 
 def test_probe_learning_rate_returns_allowed_value(size_split):

@@ -5,6 +5,8 @@ JSON value sits in any one field. The examples are derandomized and
 bounded, so the suite stays deterministic and fast.
 """
 
+import contextlib
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -12,6 +14,7 @@ from pathlib import Path
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
+from decorgnn import cli
 from decorgnn import decorrelation as dc
 from decorgnn import harness as hn
 from decorgnn.fileio import DataFormatError, load_manifest
@@ -34,7 +37,7 @@ GOOD_SUMMARY = {"kind": "summary",
                 "config": {"mode": "ood_gnn", "seed": 0, "lr": 0.01},
                 "epochs_run": 1, "final_train_acc": 0.5,
                 "final_test_acc": 0.25, "constraint_checks": 2,
-                "constraint_violations": 0}
+                "constraint_violations": 0, "final_weights": [1.5, 0.5]}
 GOOD_EPOCH = {"kind": "epoch", "epoch": 0, "loss": 1.0, "objective": None}
 
 
@@ -55,6 +58,16 @@ def _loads_or_format_error(loader, lines):
             loader(path)
         except DataFormatError:
             pass
+
+
+def _load_results_and_report(path):
+    """A results file that loads also gets an exit code, never a traceback,
+    from ``decorgnn report --histogram``; 1 is a run without weights."""
+    hn.load_results(path)
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["report", "--results", str(path), "--histogram"])
+    assert code in (0, 1, 2)
 
 
 @SETTINGS
@@ -86,7 +99,7 @@ def test_load_results_loads_or_raises_format_error(field, value, drop, line):
 @given(st.sampled_from(sorted(GOOD_SUMMARY)), json_values, st.booleans())
 def test_load_results_summary_loads_or_raises_format_error(field, value, drop):
     bad = _mutate(GOOD_SUMMARY, field, value, drop)
-    _loads_or_format_error(hn.load_results, [GOOD_EPOCH, bad])
+    _loads_or_format_error(_load_results_and_report, [GOOD_EPOCH, bad])
 
 
 @SETTINGS
