@@ -13,17 +13,11 @@ Each benchmark run is ``python3 perfbench/run.py --workload W --seed S
 two sides alternate which runs first: odd pairs run the parent first. The
 last output line of each run is kept as its result.
 
-Each run also records the minor page faults that ``wait4`` reports for its
-process and the bodies it timed (its ``*wall_s`` samples); the summary
-compares ``minor_faults_per_body``, the whole process's faults (imports
-and set-ups included) over its bodies.
-
 ``--large-rounds N`` also generates 48 graphs of 2000-3000 nodes with
 ``decorgnn gen`` (once, with the parent) and times a 2-epoch
 ``decorgnn train`` on them with each checkout, N alternating rounds. Wall
-time, the peak RSS and the minor page faults that ``wait4`` reports for
-the train process are recorded, with its standard output so the
-accuracies can be compared.
+time and the peak RSS that ``wait4`` reports for the train process are
+recorded, with its standard output so the accuracies can be compared.
 
 The output JSON holds every run in the order it was made, and per workload
 and metric the median and quartiles of each side, the share of pairs the
@@ -36,7 +30,6 @@ import argparse
 import json
 import os
 import platform
-import re
 import subprocess
 import sys
 import tempfile
@@ -78,43 +71,30 @@ def _summary(pairs, names) -> dict:
     return out
 
 
-def _spawn(argv, checkout, env=None):
-    """Run one process to its end; (wall s, wait4 rusage, stdout)."""
+def _bench(checkout, workload, seed, trace, seconds) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds),
+         "--trace", str(trace)],
+        cwd=checkout, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _cli(checkout, args) -> tuple[float, float, str]:
+    """Run one decorgnn command; (wall s, wait4 peak RSS MiB, stdout)."""
+    env = {**os.environ, "PYTHONPATH": os.path.join(checkout, "src"),
+           "PYTHONDONTWRITEBYTECODE": "1"}
     with tempfile.TemporaryFile("w+") as out:
         start = time.perf_counter()
-        proc = subprocess.Popen(argv, cwd=checkout, env=env, stdout=out)
+        proc = subprocess.Popen([sys.executable, "-m", "decorgnn.cli", *args],
+                                cwd=checkout, env=env, stdout=out)
         _, status, usage = os.wait4(proc.pid, 0)
         wall = time.perf_counter() - start
         proc.returncode = os.waitstatus_to_exitcode(status)
         if proc.returncode:
-            raise RuntimeError(f"{' '.join(argv[1:])} exited "
-                               f"{proc.returncode}")
+            raise RuntimeError(f"{args[0]} exited {proc.returncode}")
         out.seek(0)
-        return wall, usage, out.read().strip()
-
-
-def _bench(checkout, workload, seed, trace, seconds) -> dict:
-    """One benchmark run's result line, with the process's minor faults and
-    the number of bodies it timed (its ``*wall_s`` samples)."""
-    _, usage, text = _spawn(
-        [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds),
-         "--trace", str(trace)], checkout)
-    lines = text.splitlines()
-    samples = re.compile(rf"{workload}: (\d+) samples of \w*wall_s:")
-    bodies = sum(int(m[1]) for m in map(samples.match, lines) if m)
-    return {**json.loads(lines[-1]), "minor_faults": usage.ru_minflt,
-            "bodies": bodies}
-
-
-def _cli(checkout, args) -> tuple[float, float, int, str]:
-    """Run one decorgnn command; (wall s, wait4 peak RSS MiB, minor faults,
-    stdout)."""
-    env = {**os.environ, "PYTHONPATH": os.path.join(checkout, "src"),
-           "PYTHONDONTWRITEBYTECODE": "1"}
-    wall, usage, text = _spawn(
-        [sys.executable, "-m", "decorgnn.cli", *args], checkout, env)
-    return wall, usage.ru_maxrss / 1024, usage.ru_minflt, text
+        return wall, usage.ru_maxrss / 1024, out.read().strip()
 
 
 def _counts(spec: list[str]) -> dict:
@@ -158,9 +138,7 @@ def main(argv=None) -> int:
                           f"correct={got[side]['correct']} failed="
                           f"{got[side]['failed']}", file=sys.stderr)
                 pairs.append(tuple(
-                    {**{k: m["value"] for k, m in got[s]["metrics"].items()},
-                     "minor_faults_per_body":
-                         got[s]["minor_faults"] / got[s]["bodies"]}
+                    {k: m["value"] for k, m in got[s]["metrics"].items()}
                     for s in ("parent", "change")))
             key = workload if trace == 0 else f"{workload}_trace"
             result["summary"][key] = _summary(pairs, list(pairs[0][0]))
@@ -179,23 +157,21 @@ def main(argv=None) -> int:
                                                               "parent")
                 got = {}
                 for side in first:
-                    wall, rss, faults, text = _cli(sides[side], [
+                    wall, rss, text = _cli(sides[side], [
                         "train", "--data", data, "--results",
                         os.path.join(tmp, f"{side}.jsonl"), *LARGE_TRAIN])
-                    got[side] = {"wall_s": wall, "peak_rss_mb": rss,
-                                 "minor_faults": faults}
+                    got[side] = {"wall_s": wall, "peak_rss_mb": rss}
                     runs.append({"side": side, "round": rnd,
-                                 "workload": "large_cli", **got[side],
-                                 "stdout": text})
+                                 "workload": "large_cli", "wall_s": wall,
+                                 "peak_rss_mb": rss, "stdout": text})
                     print(f"large round {rnd} {side}: {wall:.2f} s "
-                          f"{rss:.0f} MiB {faults} faults", file=sys.stderr)
+                          f"{rss:.0f} MiB", file=sys.stderr)
                 rounds.append((got["parent"], got["change"]))
             result["summary"]["large_cli"] = {
                 "commands": ["decorgnn " + " ".join(LARGE_GEN),
                              "decorgnn train --data large.jsonl "
                              + " ".join(LARGE_TRAIN)],
-                **_summary(rounds, ["wall_s", "peak_rss_mb",
-                                    "minor_faults"])}
+                **_summary(rounds, ["wall_s", "peak_rss_mb"])}
 
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1)

@@ -17,9 +17,9 @@ DENSE_RATIO) is summed over its edges instead. A layer's aggregation then
 costs Σ n_g²·d over the small graphs plus O(E·d) over the large ones, on
 top of the O(total nodes · d²) MLP matmuls. When a union lists its graphs
 in node-count order, as evaluation chunks do, each stack covers one
-contiguous row range and its product is written straight into those rows;
-a union in any other order, such as a shuffled training batch, gathers and
-scatters each stack's rows.
+contiguous row range, read and written as a slice; a union in any other
+order, such as a shuffled training batch, gathers and scatters each
+stack's rows.
 """
 
 from __future__ import annotations
@@ -131,8 +131,8 @@ class _UnionIndex:
     scattered into one [c × n × n] 0/1 adjacency stack, kept with the c·n
     union rows those graphs occupy, and multiplied into those rows. Where
     those rows form one contiguous range, as in a union listed in node-count
-    order, they are kept as a slice and ``neighbor`` writes the stack's
-    product straight into them; otherwise they are an index array that it
+    order, they are kept as a slice, so ``neighbor`` reads them as a view
+    and writes them as one block; otherwise they are an index array that it
     gathers from and scatters to. The other, larger and sparser graphs'
     nodes are grouped by degree k: each group gathers its [m × k] neighbour
     rows and sums them, and the isolated nodes among them (``idle``) are the
@@ -224,15 +224,10 @@ class _UnionIndex:
         return buckets
 
     def neighbor(self, h: np.ndarray) -> np.ndarray:
-        out = np.empty_like(h, order="C")  # so row ranges reshape to views
+        out = np.empty_like(h)
         d = h.shape[1]
         for rows, n, adj in self.stacks:
-            shape = (len(adj), n, d)
-            if isinstance(rows, slice):
-                np.matmul(adj, h[rows].reshape(shape),
-                          out=out[rows].reshape(shape))
-            else:
-                out[rows] = (adj @ h[rows].reshape(shape)).reshape(-1, d)
+            out[rows] = (adj @ h[rows].reshape(len(adj), n, d)).reshape(-1, d)
         for rows, nbrs in self.buckets:
             out[rows] = h[nbrs].sum(axis=1)
         out[self.idle] = 0.0
@@ -304,11 +299,6 @@ def encode_batch(enc: EncoderParams, graphs) -> nc.Tensor:
     """Representations for a batch of graphs, one row per graph, on the tape."""
     if not graphs:
         raise ValueError("cannot encode an empty batch")
-    for g in graphs:
-        if g.features.shape[1] != enc.input_dim:
-            raise nc.DimensionError(
-                f"feature width {g.features.shape[1]} != encoder input "
-                f"{enc.input_dim}")
     return _encode_union(enc, _UnionIndex(graphs),
                          np.concatenate([g.features for g in graphs], axis=0))
 
@@ -343,10 +333,11 @@ def predict(model: Model, graphs) -> np.ndarray:
     so each intermediate is freed once the next layer has consumed it.
     Non-finite values still raise NonFiniteError.
     """
-    with nc.no_tape():
-        logits = classify(model.classifier,
-                          encode_batch(model.encoder, graphs))
-    return np.argmax(logits.value, axis=1)
+    if not graphs:
+        raise ValueError("cannot predict an empty batch")
+    return _predict_union(
+        model, _UnionIndex(graphs),
+        np.concatenate([g.features for g in graphs], axis=0))
 
 
 def _predict_union(model: Model, index: _UnionIndex,

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
+import secrets
+import stat
 
 import numpy as np
 
@@ -16,18 +17,27 @@ class DataFormatError(ValueError):
 def atomic_write_text(path, text: str) -> None:
     """Write text to path via a temp file and rename, never a partial file.
 
-    The file gets the mode a plain ``open`` would create it with,
-    0o666 less the process umask; ``mkstemp`` alone would leave it 0o600.
+    The file ends with the mode a plain ``open(path, "w")`` would leave: a
+    file it replaces keeps its mode, and a new one gets 0o666 less the
+    process umask, which the kernel applies when the temp file is created
+    (``mkstemp`` would make it 0o600).
     """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".partial-")
+    while True:
+        tmp = os.path.join(directory, f".partial-{secrets.token_hex(8)}")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            try:
+                os.fchmod(fh.fileno(), stat.S_IMODE(os.stat(path).st_mode))
+            except FileNotFoundError:
+                pass
             fh.write(text)
-        umask = os.umask(0)  # reading the umask means setting it
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -145,7 +145,7 @@ def test_union_index_stacks_only_graphs_whose_block_pays():
     assert np.max(np.abs(out - want.reshape(-1, 4))) < 1e-12
 
 
-def test_node_count_ordered_union_writes_stacks_in_place(monkeypatch):
+def test_node_count_ordered_union_keeps_stacks_as_row_ranges(monkeypatch):
     empty_like = np.empty_like
 
     def poisoned(*args, **kwargs):  # so an unwritten row cannot read as 0

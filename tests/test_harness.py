@@ -431,11 +431,22 @@ def test_written_files_take_the_mode_open_would_give(tmp_path):
             plain.write_text("x")
             written = tmp_path / f"written{umask:o}"
             atomic_write_text(written, "x")
-            atomic_write_text(written, "y")  # a replaced file too
-            assert written.read_text() == "y"
+            assert written.read_text() == "x"
             assert (stat.S_IMODE(written.stat().st_mode)
                     == stat.S_IMODE(plain.stat().st_mode)
                     == 0o666 & ~umask)
+            # a replaced file keeps its own mode, as it would under open
+            for mode in (0o600, 0o640):
+                written.chmod(mode)
+                plain.chmod(mode)
+                plain.write_text("y")
+                atomic_write_text(written, "y")
+                assert written.read_text() == "y"
+                assert (stat.S_IMODE(written.stat().st_mode)
+                        == stat.S_IMODE(plain.stat().st_mode) == mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            f"{kind}{umask:o}" for kind in ("plain", "written")
+            for umask in (0o022, 0o077, 0o002))
     finally:
         os.umask(before)
 
