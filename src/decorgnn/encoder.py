@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numcore as nc
-from .graphdata import Graph
 
 
 class DivergenceError(ArithmeticError):
@@ -316,11 +315,6 @@ def _encode_union(enc: EncoderParams, index: _UnionIndex,
     return segment_sum(h, index)
 
 
-def encode(enc: EncoderParams, graph: Graph) -> nc.Tensor:
-    """Representation of a single graph as a 1×d tensor."""
-    return encode_batch(enc, [graph])
-
-
 def classify(clf: ClassifierParams, z: nc.Tensor) -> nc.Tensor:
     """Class logits for a batch of representations."""
     return nc.add_bias(nc.matmul(z, clf.w), clf.b)
@@ -349,21 +343,24 @@ def _predict_union(model: Model, index: _UnionIndex,
     return np.argmax(logits.value, axis=1)
 
 
-def weighted_prediction_step(model: Model, graphs, labels, weights,
-                             optimizer: nc.Adam) -> float:
+def weighted_prediction_step(model: Model, graphs, labels, weigh,
+                             optimizer: nc.Adam) -> nc.Tensor:
     """One optimizer step on the weighted cross-entropy of a batch.
 
-    Runs its own forward pass; weights enter the loss as constants. Any
-    non-finite intermediate is reported as divergence.
+    The batch is encoded once and ``weigh(z.value)`` gives its weights; the
+    same tape extends into the classifier and loss, so no second forward
+    pass is needed. Returns the 1×1 loss, which holds the tape until it is
+    dropped. Any non-finite intermediate, also in ``weigh``, is reported
+    as divergence.
     """
-    params = parameters(model)
-    nc.zero_grad(params)
     try:
         z = encode_batch(model.encoder, graphs)
+        weights = weigh(z.value)
         loss = nc.softmax_cross_entropy(classify(model.classifier, z),
                                         labels, weights)
+        nc.zero_grad(optimizer.params)
         nc.backward(loss)
         optimizer.step()
     except nc.NonFiniteError as err:
         raise DivergenceError(str(err)) from err
-    return float(loss.value[0, 0])
+    return loss

@@ -13,61 +13,54 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import DataFormatError
 from .numcore import DimensionError
 
 
 @dataclass
 class GlobalMemory:
-    k_groups: int
-    batch_size: int
-    z_groups: list            # k entries of [batch_size × d]
-    w_groups: list            # k entries of [batch_size]
-    gammas: tuple
+    z_groups: np.ndarray      # [k × batch_size × d]
+    w_groups: np.ndarray      # [k × batch_size]
+    gammas: np.ndarray        # [k]
 
     def __post_init__(self):
-        if self.k_groups < 0:
-            raise ValueError(f"k_groups must be nonnegative, got {self.k_groups}")
+        z, w = self.z_groups, self.w_groups
+        if z.ndim != 3 or w.shape != z.shape[:2]:
+            raise DimensionError(f"stored blocks {z.shape} and weights "
+                                 f"{w.shape} are not [k × B × d], [k × B]")
+        if self.gammas.shape != (self.k_groups,):
+            raise ValueError(f"need {self.k_groups} momentum values, "
+                             f"got {self.gammas.size}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
-        if not (len(self.z_groups) == len(self.w_groups)
-                == len(self.gammas) == self.k_groups):
-            raise ValueError("group lists must all have k_groups entries")
-        for gamma in self.gammas:
-            if not 0.0 <= gamma < 1.0:
-                raise ValueError(f"momentum must lie in [0, 1), got {gamma}")
-        for z, w in zip(self.z_groups, self.w_groups):
-            if z.ndim != 2 or z.shape[0] != self.batch_size:
-                raise DimensionError(
-                    f"stored block shape {z.shape} != batch size {self.batch_size}")
-            if w.shape != (self.batch_size,):
-                raise DimensionError(f"stored weights shape {w.shape} invalid")
+        if not np.all((0.0 <= self.gammas) & (self.gammas < 1.0)):
+            raise ValueError(f"momentum must lie in [0, 1), got {self.gammas}")
+
+    @property
+    def k_groups(self) -> int:
+        return self.z_groups.shape[0]
+
+    @property
+    def batch_size(self) -> int:
+        return self.z_groups.shape[1]
 
 
 def init_memory(k: int, batch_size: int, d: int, gammas) -> GlobalMemory:
     """Fresh memory: stored representations zero, stored weights one."""
-    gammas = tuple(float(g) for g in gammas)
-    if len(gammas) != k:
-        raise ValueError(f"need {k} momentum values, got {len(gammas)}")
-    return GlobalMemory(
-        k_groups=k,
-        batch_size=batch_size,
-        z_groups=[np.zeros((batch_size, d)) for _ in range(k)],
-        w_groups=[np.ones(batch_size) for _ in range(k)],
-        gammas=gammas,
-    )
+    return GlobalMemory(z_groups=np.zeros((k, batch_size, d)),
+                        w_groups=np.ones((k, batch_size)),
+                        gammas=np.asarray(gammas, dtype=np.float64))
 
 
-def _check_local(memory: GlobalMemory, z_local: np.ndarray, w_local: np.ndarray):
-    if z_local.ndim != 2 or z_local.shape[0] != memory.batch_size:
+def _local(memory: GlobalMemory, z_local, w_local):
+    """The current batch as float arrays, checked against the stored groups."""
+    z_local = np.asarray(z_local, dtype=np.float64)
+    w_local = np.asarray(w_local, dtype=np.float64)
+    _, batch_size, d = memory.z_groups.shape
+    if z_local.shape != (batch_size, d) or w_local.shape != (batch_size,):
         raise DimensionError(
-            f"local block shape {z_local.shape} != batch size {memory.batch_size}")
-    if w_local.shape != (memory.batch_size,):
-        raise DimensionError(f"local weights shape {w_local.shape} invalid")
-    for z in memory.z_groups:
-        if z.shape[1] != z_local.shape[1]:
-            raise DimensionError(
-                f"stored width {z.shape[1]} != local width {z_local.shape[1]}")
+            f"local block {z_local.shape} and weights {w_local.shape} do not "
+            f"match a stored group {(batch_size, d)}")
+    return z_local, w_local
 
 
 def concat(memory: GlobalMemory, z_local: np.ndarray,
@@ -77,55 +70,18 @@ def concat(memory: GlobalMemory, z_local: np.ndarray,
     Order is group 1 through group k, local last. With no groups this is a
     copy of the local arrays.
     """
-    z_local = np.asarray(z_local, dtype=np.float64)
-    w_local = np.asarray(w_local, dtype=np.float64)
-    _check_local(memory, z_local, w_local)
-    z_hat = np.concatenate([*memory.z_groups, z_local], axis=0)
-    w_hat = np.concatenate([*memory.w_groups, w_local])
+    z_local, w_local = _local(memory, z_local, w_local)
+    z_hat = np.concatenate(
+        [memory.z_groups.reshape(-1, z_local.shape[1]), z_local])
+    w_hat = np.concatenate([memory.w_groups.reshape(-1), w_local])
     return z_hat, w_hat
 
 
 def momentum_update(memory: GlobalMemory, z_local: np.ndarray,
                     w_local: np.ndarray) -> None:
-    """Pull every stored group toward the current batch, in place."""
-    z_local = np.asarray(z_local, dtype=np.float64)
-    w_local = np.asarray(w_local, dtype=np.float64)
-    _check_local(memory, z_local, w_local)
-    for k, gamma in enumerate(memory.gammas):
-        memory.z_groups[k] = gamma * memory.z_groups[k] + (1.0 - gamma) * z_local
-        memory.w_groups[k] = gamma * memory.w_groups[k] + (1.0 - gamma) * w_local
-
-
-def memory_arrays(memory: GlobalMemory) -> dict:
-    """Flatten the memory into named matrices for a checkpoint manifest."""
-    arrays = {"memory.gammas": np.asarray(memory.gammas).reshape(1, -1)}
-    for k in range(memory.k_groups):
-        arrays[f"memory.group{k}.z"] = memory.z_groups[k]
-        arrays[f"memory.group{k}.w"] = memory.w_groups[k].reshape(1, -1)
-    return arrays
-
-
-def restore_memory(arrays: dict, k: int, batch_size: int,
-                   d: int) -> GlobalMemory:
-    """Rebuild a memory from manifest arrays, validating every shape.
-
-    A missing entry raises DataFormatError naming it.
-    """
-    def entry(name):
-        if name not in arrays:
-            raise DataFormatError(f"missing {name}")
-        return arrays[name]
-
-    gammas = entry("memory.gammas").reshape(-1)
-    if gammas.size != k:
-        raise DimensionError(f"expected {k} momentum values, got {gammas.size}")
-    z_groups, w_groups = [], []
-    for idx in range(k):
-        z = entry(f"memory.group{idx}.z")
-        if z.shape != (batch_size, d):
-            raise DimensionError(
-                f"stored block {idx} has shape {z.shape}, expected {(batch_size, d)}")
-        z_groups.append(z)
-        w_groups.append(entry(f"memory.group{idx}.w").reshape(-1))
-    return GlobalMemory(k, batch_size, z_groups, w_groups,
-                        tuple(float(g) for g in gammas))
+    """Pull every stored group of ``memory`` toward the current batch."""
+    z_local, w_local = _local(memory, z_local, w_local)
+    gamma = memory.gammas[:, None]
+    memory.w_groups = gamma * memory.w_groups + (1.0 - gamma) * w_local
+    gamma = gamma[:, :, None]
+    memory.z_groups = gamma * memory.z_groups + (1.0 - gamma) * z_local

@@ -261,7 +261,6 @@ def apply_split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     if holdout >= len(order):
         raise DatasetError("dataset too small to hold out a noise test split")
     meta = dict(num_classes=dataset.num_classes, feature_dim=dataset.feature_dim)
-    test_idx = set(order[:holdout].tolist())
     train = Dataset([dataset.graphs[i] for i in order[holdout:]], **meta)
     test = Dataset([dataset.graphs[i] for i in order[:holdout]], **meta)
     return train, add_feature_noise(test, spec.noise_sigma, spec.seed + 1)
@@ -298,16 +297,16 @@ def _parse_graph_record(record, lineno: int, path) -> Graph:
     if not isinstance(record, dict) or set(record) != {"n", "edges", "x", "y"}:
         raise DataFormatError(f"{where}: expected keys n/edges/x/y")
     n, edges, x, y = record["n"], record["edges"], record["x"], record["y"]
-    if not isinstance(n, int):
+    if type(n) is not int:
         raise DataFormatError(f"{where}: n must be an integer")
-    if not isinstance(y, int):
+    if type(y) is not int:
         raise DataFormatError(f"{where}: y must be an integer")
     if not isinstance(edges, list):
         raise DataFormatError(f"{where}: edges must be a list")
     canonical = []
     for e in edges:
         if (not isinstance(e, list) or len(e) != 2
-                or not all(isinstance(t, int) for t in e)):
+                or not all(type(t) is int for t in e)):
             raise DataFormatError(f"{where}: edge {e!r} is not an integer pair")
         canonical.append((min(e), max(e)))
     try:

@@ -10,11 +10,11 @@ Three training modes share one loop:
 * ``baseline_uniform``: weights stay at one and the reweighting machinery
   is never invoked.
 
-Each batch is encoded once; the same tape extends into the classifier and
-loss after the weights are fixed, so no second forward pass is needed.
-Representations are standardized per dimension (train-batch statistics)
-before weight optimization, which keeps the unit-bandwidth feature maps
-in a sensible operating range regardless of graph size.
+Each batch takes one ``encoder.weighted_prediction_step``: it is encoded
+once, weighted, and stepped on. Representations are standardized per
+dimension (train-batch statistics) before weight optimization, which keeps
+the unit-bandwidth feature maps in a sensible operating range regardless
+of graph size.
 """
 
 from __future__ import annotations
@@ -254,8 +254,7 @@ def _fit_epochs(model: enc.Model, train_set: Dataset, cfg: TrainConfig,
     caller may score the model before the next epoch starts. See ``train``
     for the batching rules.
     """
-    params = enc.parameters(model)
-    optimizer = nc.Adam(params, lr=cfg.lr)
+    optimizer = nc.Adam(enc.parameters(model), lr=cfg.lr)
     use_reweight = cfg.mode != "baseline_uniform"
     memory = None
     if use_reweight and cfg.k_groups > 0:
@@ -283,29 +282,30 @@ def _fit_epochs(model: enc.Model, train_set: Dataset, cfg: TrainConfig,
             idx = order[start:stop]
             if len(idx) < cfg.batch_size and memory is not None:
                 break
-            batch = [graphs[i] for i in idx]
-            try:
-                z = enc.encode_batch(model.encoder, batch)
+
+            def weigh(z_value):
                 # covariances need >= 2 samples; a 1-graph training set
                 # still trains, just with its weight left at one
                 if use_reweight and len(idx) >= 2:
                     weights, objective = _reweight_batch(
-                        z.value, cfg, memory, epoch, batch_idx, stats)
+                        z_value, cfg, memory, epoch, batch_idx, stats)
                     objectives.append(objective)
                 else:
                     weights = np.ones(len(idx))
                 epoch_weights.append(weights)
-                loss = nc.softmax_cross_entropy(
-                    enc.classify(model.classifier, z), labels[idx], weights)
-                nc.zero_grad(params)
-                nc.backward(loss)
-                optimizer.step()
-            except nc.NonFiniteError as err:
+                return weights
+
+            try:
+                # the last tape lives on through this step, which ran faster
+                loss = enc.weighted_prediction_step(
+                    model, [graphs[i] for i in idx], labels[idx], weigh,
+                    optimizer)
+            except enc.DivergenceError as err:
                 raise enc.DivergenceError(
                     f"epoch {epoch} batch {batch_idx}: {err}") from err
             losses.append(float(loss.value[0, 0]))
 
-        del z, loss  # free the last tape before the caller scores the model
+        del loss  # free the last tape before the caller scores the model
         yield (float(np.mean(losses)),
                float(np.mean(objectives)) if objectives else None,
                np.concatenate(epoch_weights))
@@ -446,23 +446,20 @@ def stable_lines(path) -> list:
         json.dumps(summary, sort_keys=True)]
 
 
-def save_checkpoint(path, model: enc.Model, memory=None) -> None:
-    """Write all parameters (and optional memory state) as a manifest."""
+def save_checkpoint(path, model: enc.Model) -> None:
+    """Write all parameters as a manifest."""
     arrays = {name: t.value for name, t in enc.named_parameters(model).items()}
-    if memory is not None:
-        arrays.update(gm.memory_arrays(memory))
     save_manifest(path, arrays)
 
 
 def load_checkpoint(path):
-    """Rebuild (model, memory or None) from a manifest.
+    """Rebuild a model from a manifest; returns ``(model, None)``.
 
     The parameter layout comes from the encoder: the depth and the widths
     read from ``encoder.layer{i}.w1`` and ``classifier.w`` build a template
     with ``init_encoder`` and ``init_classifier``, and every entry of its
-    ``named_parameters`` must be present with the template's shape.
-    Memory entries that are missing, misshapen or out of range raise
-    DataFormatError with the path too. Non-finite values raise
+    ``named_parameters`` must be present with the template's shape, or
+    DataFormatError names the path and the entry. Non-finite values raise
     NonFiniteError.
     """
     arrays = load_manifest(path)
@@ -485,18 +482,7 @@ def load_checkpoint(path):
                 f"{path}: {name} has shape {arrays[name].shape}, "
                 f"expected {tensor.shape}")
         tensor.value = nc.Tensor(arrays[name]).value
-
-    if "memory.gammas" not in arrays:
-        return model, None
-    if "memory.group0.z" not in arrays:
-        raise DataFormatError(f"{path}: missing memory.group0.z")
-    z0 = arrays["memory.group0.z"]
-    try:
-        memory = gm.restore_memory(arrays, k=arrays["memory.gammas"].size,
-                                   batch_size=z0.shape[0], d=z0.shape[1])
-    except ValueError as err:  # DataFormatError, DimensionError, bad momentum
-        raise DataFormatError(f"{path}: {err}") from None
-    return model, memory
+    return model, None
 
 
 def probe_learning_rate(train_set: Dataset, cfg: TrainConfig) -> float:

@@ -299,8 +299,8 @@ def test_criterion_10_permutation_invariance():
     for _ in range(100):
         g = _random_graph_with_features(rng, 6, lo=4, hi=14)
         perm = rng.permutation(g.num_nodes)
-        h = enc_mod.encode(encoder, g).value
-        hp = enc_mod.encode(encoder, permute_graph(g, perm)).value
+        h = enc_mod.encode_batch(encoder, [g]).value
+        hp = enc_mod.encode_batch(encoder, [permute_graph(g, perm)]).value
         worst = max(worst, float(np.max(np.abs(h - hp))))
     _verdict(10, "permutation invariance", worst < 1e-9,
              f"100 graph/permutation pairs, max deviation {worst:.2e}")

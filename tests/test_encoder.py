@@ -272,7 +272,7 @@ def test_encode_matches_per_node_loop_reference():
     for layer in model.encoder.layers:
         layer.eps.value = np.array([[0.37]])
     for g in sample_graphs(10, seed=21):
-        got = enc_mod.encode(model.encoder, g).value
+        got = enc_mod.encode_batch(model.encoder, [g]).value
         want = loop_encode(model.encoder, g)
         assert np.max(np.abs(got - want)) < 1e-12
 
@@ -281,7 +281,7 @@ def test_edgeless_graph_uses_only_self_term():
     model = make_model(4, 5, 2, 3, seed=3)
     feats = np.random.default_rng(4).normal(size=(3, 4))
     g = Graph(3, (), feats, 0)
-    got = enc_mod.encode(model.encoder, g).value
+    got = enc_mod.encode_batch(model.encoder, [g]).value
     assert np.max(np.abs(got - loop_encode(model.encoder, g))) < 1e-12
 
 
@@ -290,8 +290,9 @@ def test_encode_is_invariant_to_node_relabeling():
     rng = np.random.default_rng(13)
     for g in sample_graphs(8, seed=17):
         perm = rng.permutation(g.num_nodes)
-        h = enc_mod.encode(model.encoder, g).value
-        hp = enc_mod.encode(model.encoder, permute_graph(g, perm)).value
+        h = enc_mod.encode_batch(model.encoder, [g]).value
+        hp = enc_mod.encode_batch(model.encoder,
+                                  [permute_graph(g, perm)]).value
         assert np.max(np.abs(h - hp)) < 1e-9
 
 
@@ -301,7 +302,7 @@ def test_batch_encoding_matches_single_graphs():
     batch = enc_mod.encode_batch(model.encoder, graphs).value
     assert batch.shape == (7, 6)
     for i, g in enumerate(graphs):
-        single = enc_mod.encode(model.encoder, g).value
+        single = enc_mod.encode_batch(model.encoder, [g]).value
         assert np.max(np.abs(batch[i] - single)) < 1e-12
 
 
@@ -315,8 +316,8 @@ def test_disjoint_double_copy_encodes_to_twice_the_graph():
         np.vstack([g.features, g.features]),
         0,
     )
-    one = enc_mod.encode(model.encoder, g).value
-    two = enc_mod.encode(model.encoder, doubled).value
+    one = enc_mod.encode_batch(model.encoder, [g]).value
+    two = enc_mod.encode_batch(model.encoder, [doubled]).value
     assert np.max(np.abs(two - 2.0 * one)) < 1e-11
 
 
@@ -376,8 +377,8 @@ def test_zero_weights_leave_parameters_unchanged():
     before = [p.value.copy() for p in params]
     opt = nc.Adam(params, lr=0.01)
     loss = enc_mod.weighted_prediction_step(
-        model, graphs, np.array([0, 1, 2]), np.zeros(3), opt)
-    assert loss == 0.0
+        model, graphs, np.array([0, 1, 2]), lambda _: np.zeros(3), opt)
+    assert loss.value[0, 0] == 0.0
     for p, old in zip(params, before):
         assert np.array_equal(p.value, old)
 
@@ -389,12 +390,12 @@ def test_prediction_step_moves_parameters_and_returns_loss():
     params = enc_mod.parameters(model)
     opt = nc.Adam(params, lr=0.01)
     first = enc_mod.weighted_prediction_step(model, graphs, labels,
-                                             np.ones(3), opt)
-    assert first > 0.0
+                                             lambda _: np.ones(3), opt)
+    assert first.value[0, 0] > 0.0
     for _ in range(30):
         last = enc_mod.weighted_prediction_step(model, graphs, labels,
-                                                np.ones(3), opt)
-    assert last < first
+                                                lambda _: np.ones(3), opt)
+    assert last.value[0, 0] < first.value[0, 0]
 
 
 def test_prediction_step_reports_divergence():
@@ -407,7 +408,7 @@ def test_prediction_step_reports_divergence():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(enc_mod.DivergenceError):
             enc_mod.weighted_prediction_step(model, graphs, np.array([0, 1]),
-                                             np.ones(2), opt)
+                                             lambda _: np.ones(2), opt)
 
 
 def test_gradients_match_finite_differences_through_a_graph():
@@ -494,7 +495,7 @@ def test_predict_leaves_the_next_training_step_unchanged():
             enc_mod.predict(model, graphs)
         params = enc_mod.parameters(model)
         enc_mod.weighted_prediction_step(
-            model, graphs, labels, weights, nc.Adam(params, lr=0.01))
+            model, graphs, labels, lambda _: weights, nc.Adam(params, lr=0.01))
         grads.append([p.grad.copy() for p in params])
     for plain, after_predict in zip(*grads):
         assert np.array_equal(plain, after_predict)
@@ -529,7 +530,7 @@ def test_small_dataset_is_memorized():
             idx = order[start:start + 16]
             loss = enc_mod.weighted_prediction_step(
                 model, [graphs[i] for i in idx], labels[idx],
-                np.ones(len(idx)), opt)
+                lambda _: np.ones(len(idx)), opt)
     z = enc_mod.encode_batch(model.encoder, graphs)
     logits = enc_mod.classify(model.classifier, z)
     final = nc.softmax_cross_entropy(logits, labels, np.ones(len(graphs)))

@@ -19,7 +19,7 @@ def test_init_memory_zero_states_unit_weights():
 def test_init_memory_k_zero_is_empty():
     mem = gm.init_memory(0, batch_size=4, d=5, gammas=())
     assert mem.k_groups == 0
-    assert mem.z_groups == [] and mem.w_groups == []
+    assert len(mem.z_groups) == 0 and len(mem.w_groups) == 0
 
 
 def test_init_memory_rejects_bad_momentum():
@@ -108,29 +108,48 @@ def test_gap_contracts_by_exactly_gamma_each_step():
 def test_momentum_update_with_no_groups_is_noop():
     mem = gm.init_memory(0, batch_size=2, d=2, gammas=())
     gm.momentum_update(mem, np.ones((2, 2)), np.ones(2))
-    assert mem.z_groups == []
+    assert len(mem.z_groups) == 0
 
 
-def test_memory_round_trips_through_arrays():
+def test_momentum_update_matches_the_per_group_loop_bit_for_bit():
     rng = np.random.default_rng(3)
+    gammas = (0.0, 0.3, 0.9, 0.97)
+    mem = gm.init_memory(4, batch_size=5, d=7, gammas=gammas)
+    mem.z_groups[:] = rng.normal(size=(4, 5, 7))
+    mem.w_groups[:] = rng.uniform(0.5, 2.0, size=(4, 5))
+    # reference: one list entry per group, updated one group at a time
+    z_ref = [z.copy() for z in mem.z_groups]
+    w_ref = [w.copy() for w in mem.w_groups]
+    for _ in range(5):
+        z_local = rng.normal(size=(5, 7))
+        w_local = rng.uniform(0.5, 2.0, size=5)
+        for k, gamma in enumerate(gammas):
+            z_ref[k] = gamma * z_ref[k] + (1.0 - gamma) * z_local
+            w_ref[k] = gamma * w_ref[k] + (1.0 - gamma) * w_local
+        gm.momentum_update(mem, z_local, w_local)
+        assert np.array_equal(mem.z_groups, np.stack(z_ref))
+        assert np.array_equal(mem.w_groups, np.stack(w_ref))
+        z_hat, w_hat = gm.concat(mem, z_local, w_local)
+        assert np.array_equal(z_hat, np.concatenate([*z_ref, z_local]))
+        assert np.array_equal(w_hat, np.concatenate([*w_ref, w_local]))
+
+
+def test_memory_rejects_mismatched_groups():
     mem = gm.init_memory(2, batch_size=3, d=4, gammas=(0.3, 0.8))
-    mem.z_groups[0] = rng.normal(size=(3, 4))
-    mem.z_groups[1] = rng.normal(size=(3, 4))
-    mem.w_groups[0] = rng.uniform(0.5, 2.0, size=3)
-    mem.w_groups[1] = rng.uniform(0.5, 2.0, size=3)
-
-    arrays = gm.memory_arrays(mem)
-    back = gm.restore_memory(arrays, k=2, batch_size=3, d=4)
-    assert back.gammas == mem.gammas
-    for k in range(2):
-        assert np.array_equal(back.z_groups[k], mem.z_groups[k])
-        assert np.array_equal(back.w_groups[k], mem.w_groups[k])
-
-
-def test_restore_memory_validates_shapes():
-    mem = gm.init_memory(1, batch_size=3, d=4, gammas=(0.5,))
-    arrays = gm.memory_arrays(mem)
+    z, w, gammas = mem.z_groups, mem.w_groups, mem.gammas
     with pytest.raises(DimensionError):
-        gm.restore_memory(arrays, k=1, batch_size=2, d=4)
+        gm.GlobalMemory(z[:1], w, gammas)                # k differs
     with pytest.raises(DimensionError):
-        gm.restore_memory(arrays, k=2, batch_size=3, d=4)
+        gm.GlobalMemory(z[:, :2], w, gammas)             # batch size differs
+    with pytest.raises(DimensionError):
+        gm.GlobalMemory(z[0], w, gammas)                 # not [k × B × d]
+    with pytest.raises(ValueError):
+        gm.GlobalMemory(z, w, gammas[:1])                # one momentum short
+    with pytest.raises(ValueError):
+        gm.GlobalMemory(z, w, np.array([0.3, 1.0]))      # momentum of one
+    with pytest.raises(ValueError):
+        gm.init_memory(2, batch_size=0, d=4, gammas=(0.3, 0.8))
+    with pytest.raises(DimensionError):
+        gm.momentum_update(mem, np.zeros((3, 5)), np.ones(3))   # width differs
+    with pytest.raises(DimensionError):
+        gm.momentum_update(mem, np.zeros((2, 4)), np.ones(2))   # batch differs

@@ -77,6 +77,32 @@ def test_baseline_mode_never_invokes_reweighting(size_split):
     assert all(r.objective is None for r in report.records)
 
 
+def test_train_takes_one_prediction_step_per_batch(size_split, monkeypatch):
+    train_set, test_set = size_split
+    step = enc.weighted_prediction_step
+    calls = []
+
+    def counting(model, graphs, labels, weigh, optimizer):
+        encoded = enc.encode_batch(model.encoder, graphs).value
+        seen = []
+
+        def checked(z_value):
+            seen.append(np.array_equal(z_value, encoded))
+            return weigh(z_value)
+
+        loss = step(model, graphs, labels, checked, optimizer)
+        calls.append(seen)
+        return loss
+
+    monkeypatch.setattr(enc, "weighted_prediction_step", counting)
+    cfg = small_cfg()
+    _, report = hn.train(train_set, test_set, cfg)
+    batches = -(-len(train_set.graphs) // cfg.batch_size)
+    assert len(calls) == cfg.epochs * batches
+    assert calls == [[True]] * len(calls)
+    assert report.constraint_checks > 0
+
+
 def test_reweighted_run_counts_constraint_checks(size_split):
     train_set, test_set = size_split
     cfg = small_cfg(mode="ood_gnn", epochs=2, epochs_reweight=5)
@@ -347,21 +373,7 @@ def test_checkpoint_round_trip(size_split, tmp_path):
                               enc.named_parameters(loaded)[name].value)
 
 
-def test_checkpoint_round_trip_with_memory(size_split, tmp_path):
-    from decorgnn import globalmem as gm
-    train_set, test_set = size_split
-    model, _ = hn.train(train_set, test_set, small_cfg(epochs=1))
-    memory = gm.init_memory(2, batch_size=32, d=16, gammas=(0.3, 0.7))
-    memory.z_groups[0] = np.random.default_rng(1).normal(size=(32, 16))
-    path = tmp_path / "model.jsonl"
-    hn.save_checkpoint(path, model, memory)
-    _, restored = hn.load_checkpoint(path)
-    assert restored.gammas == (0.3, 0.7)
-    assert np.array_equal(restored.z_groups[0], memory.z_groups[0])
-
-
 def test_checkpoint_rejects_bad_shapes(size_split, tmp_path):
-    from decorgnn import globalmem as gm
     from decorgnn.fileio import load_manifest, save_manifest
     train_set, test_set = size_split
     model, _ = hn.train(train_set, test_set, small_cfg(epochs=1))
@@ -389,23 +401,6 @@ def test_checkpoint_rejects_bad_shapes(size_split, tmp_path):
     save_manifest(bad, {"unrelated": np.zeros((1, 1))})
     with pytest.raises(DataFormatError, match="not a model checkpoint"):
         hn.load_checkpoint(bad)
-    memory = gm.memory_arrays(gm.init_memory(2, batch_size=4, d=16,
-                                             gammas=(0.3, 0.7)))
-    for name in ("memory.group0.z", "memory.group1.w"):
-        arrays = {**load_manifest(path), **memory}
-        del arrays[name]
-        save_manifest(bad, arrays)
-        with pytest.raises(DataFormatError, match=name):
-            hn.load_checkpoint(bad)
-    # misshapen memory entries name the file, as model tensors do
-    for name, value in [("memory.group1.z", np.zeros((3, 4))),
-                        ("memory.group1.w", np.ones((3, 1))),
-                        ("memory.gammas", np.array([[0.3, 0.7, 0.5]])),
-                        ("memory.gammas", np.array([[0.3, 1.5]]))]:
-        arrays = {**load_manifest(path), **memory, name: value}
-        save_manifest(bad, arrays)
-        with pytest.raises(DataFormatError, match="bad.jsonl"):
-            hn.load_checkpoint(bad)
 
 
 def test_load_manifest_rejects_malformed_records(tmp_path):
