@@ -11,7 +11,10 @@ Usage, from any directory:
 Each benchmark run is ``python3 perfbench/run.py --workload W --seed S
 --seconds 30 --trace T`` in its own process, inside its own checkout. The
 two sides alternate which runs first: odd pairs run the parent first. The
-last output line of each run is kept as its result.
+last output line of each run is kept as its result, with the minor page
+faults and peak RSS that ``wait4`` reports for the whole process
+(``process_minflt``, ``process_maxrss_mb``). Those cover set-up and every
+body of a run of fixed length, so a faster side runs more bodies in them.
 
 ``--large-rounds N`` also generates 48 graphs of 2000-3000 nodes with
 ``decorgnn gen`` (once, with the parent) and times a 2-epoch
@@ -71,30 +74,43 @@ def _summary(pairs, names) -> dict:
     return out
 
 
+def _wait(argv, checkout, env=None):
+    """Run one process in ``checkout`` to its end; (wall s, its ``wait4``
+    resource usage, stdout). A nonzero exit raises with its stderr tail."""
+    with tempfile.TemporaryFile("w+") as out, \
+            tempfile.TemporaryFile("w+") as err:
+        start = time.perf_counter()
+        proc = subprocess.Popen(argv, cwd=checkout, env=env, stdout=out,
+                                stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        if proc.returncode:
+            err.seek(0)
+            raise RuntimeError(f"{' '.join(argv[1:])} exited "
+                               f"{proc.returncode}: {err.read()[-2000:]}")
+        out.seek(0)
+        return wall, usage, out.read().strip()
+
+
 def _bench(checkout, workload, seed, trace, seconds) -> dict:
-    proc = subprocess.run(
+    _, usage, text = _wait(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds),
-         "--trace", str(trace)],
-        cwd=checkout, capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+         "--trace", str(trace)], checkout)
+    result = json.loads(text.splitlines()[-1])
+    result["process"] = {"process_minflt": usage.ru_minflt,
+                         "process_maxrss_mb": usage.ru_maxrss / 1024}
+    return result
 
 
 def _cli(checkout, args) -> tuple[float, float, str]:
     """Run one decorgnn command; (wall s, wait4 peak RSS MiB, stdout)."""
     env = {**os.environ, "PYTHONPATH": os.path.join(checkout, "src"),
            "PYTHONDONTWRITEBYTECODE": "1"}
-    with tempfile.TemporaryFile("w+") as out:
-        start = time.perf_counter()
-        proc = subprocess.Popen([sys.executable, "-m", "decorgnn.cli", *args],
-                                cwd=checkout, env=env, stdout=out)
-        _, status, usage = os.wait4(proc.pid, 0)
-        wall = time.perf_counter() - start
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        if proc.returncode:
-            raise RuntimeError(f"{args[0]} exited {proc.returncode}")
-        out.seek(0)
-        return wall, usage.ru_maxrss / 1024, out.read().strip()
+    wall, usage, text = _wait([sys.executable, "-m", "decorgnn.cli", *args],
+                              checkout, env)
+    return wall, usage.ru_maxrss / 1024, text
 
 
 def _counts(spec: list[str]) -> dict:
@@ -138,7 +154,8 @@ def main(argv=None) -> int:
                           f"correct={got[side]['correct']} failed="
                           f"{got[side]['failed']}", file=sys.stderr)
                 pairs.append(tuple(
-                    {k: m["value"] for k, m in got[s]["metrics"].items()}
+                    {**{k: m["value"] for k, m in got[s]["metrics"].items()},
+                     **got[s]["process"]}
                     for s in ("parent", "change")))
             key = workload if trace == 0 else f"{workload}_trace"
             result["summary"][key] = _summary(pairs, list(pairs[0][0]))

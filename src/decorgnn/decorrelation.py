@@ -7,7 +7,10 @@ partial cross-covariance between mapped columns. Summed over dimension
 pairs this gives a differentiable objective in the per-sample weights,
 minimized by projected gradient descent under the constraints
 sum(w) = N and w >= W_MIN. Each solve allocates its buffers once and
-scores every step in them, bit for bit as fresh arrays would.
+scores every step in them, bit for bit as fresh arrays would. A step takes
+the gradient only in the weights it moves: weights held frozen (the stored
+groups of the global memory) still shape the objective, but the projection
+never changes them, so their gradient entries would be thrown away.
 
 An independent Gaussian-kernel HSIC estimator is included as the
 statistical oracle the objective is validated against.
@@ -15,6 +18,7 @@ statistical oracle the objective is validated against.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -107,9 +111,11 @@ class ReweightConfig:
 
 def _draw(rng, shape: tuple, q: int) -> np.ndarray:
     """Banks as one [*shape × (freqs, phases) × q] array, drawn in C order,
-    each as frequencies then phases (scalars when q = 1, the same stream)."""
+    each as frequencies then phases (scalars when q = 1, the same stream).
+    A phase is 2π·random(), the value uniform(0, 2π) computes as
+    0 + (2π - 0)·random(), at half the call's cost."""
     size = None if q == 1 else q
-    fields = np.array([(rng.standard_normal(size), rng.uniform(0.0, 2.0 * np.pi, size))
+    fields = np.array([(rng.standard_normal(size), 2.0 * np.pi * rng.random(size))
                        for _ in range(math.prod(shape))])
     return fields.reshape(*shape, 2, q)
 
@@ -223,6 +229,15 @@ def _mask(rows, cols, d: int, q: int) -> np.ndarray:
     return np.kron(select, np.ones((q, q)))
 
 
+@functools.lru_cache(maxsize=8)
+def _full_mask(d: int, q: int) -> np.ndarray:
+    """The mask of all C(d, 2) pairs, built once per (d, q) and read-only,
+    since every solve with pair_fraction 1 shares it; it draws nothing."""
+    mask = _mask(*_pair_index(d, 1.0, None), d, q)
+    mask.setflags(write=False)
+    return mask
+
+
 def _inputs(z, weights) -> tuple[np.ndarray, np.ndarray]:
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2 or z.shape[0] < 2:
@@ -251,26 +266,36 @@ def _setup(z, weights, banks, pairs):
 
 class _Problem:
     """One objective's buffers, allocated once: w -> ||M∘C(w)||² + λ||w||²
-    and, if asked, its gradient. C(w) = AᵀB/(N-1), A = centred(w*F) and
-    B = centred(w*G) is weighted_partial_cov for every pair at once; the
-    stacks FA = [F; A] and BG = [B; G] give both gradient terms from one
-    product FA @ C."""
+    and, if asked, its gradient in the weights of ``rows`` (all by default).
 
-    def __init__(self, f, g, mask, l2_lambda: float = 0.0):
+    C(w) = AᵀB/(N-1) with [A | B] = centred(w*[F | G]) is
+    weighted_partial_cov for every pair at once; one pass weights and
+    centres both halves of the [N × 2W] block. Every row shapes C, but a
+    solve moves only its free weights, so the gradient is taken for
+    ``rows`` alone: the stacks FA = [F_r; A_r] and BG = [B_r; G_r] give both
+    gradient terms of those rows from one product FA @ C."""
+
+    def __init__(self, f, g, mask, l2_lambda: float = 0.0, rows=None):
         n, width = f.shape
-        self.n, self.mask, self.l2_lambda = n, mask, l2_lambda
-        self.fa, self.bg, self.t = np.empty((3, 2 * n, width))
-        self.fa[:n], self.bg[n:] = f, g
+        self.n, self.width, self.mask, self.l2_lambda = n, width, mask, l2_lambda
+        rows = np.arange(n) if rows is None else np.asarray(rows)
+        self.r = r = rows.size
+        # sorted distinct rows that form one run (all of them, or a memory
+        # batch's free tail) are copied as a slice, at half a gather's cost
+        run = r and rows[-1] - rows[0] == r - 1
+        self.rows = slice(rows[0], rows[-1] + 1) if run else rows
+        self.fg = np.concatenate([f, g], axis=1)
+        self.ab = np.empty_like(self.fg)
+        self.fa, self.bg, self.t = np.empty((3, 2 * r, width))
+        self.fa[:r], self.bg[r:] = f[self.rows], g[self.rows]
         self.c = np.empty((width, width))
 
     def cov(self, w: np.ndarray) -> np.ndarray:
         """The masked C(w), held in the workspace until the next call."""
-        n = self.n
-        for raw, out in ((self.fa[:n], self.fa[n:]), (self.bg[n:], self.bg[:n])):
-            np.multiply(w[:, None], raw, out=out)
-            out -= out.sum(axis=0) / n  # bit-identical to .mean(axis=0)
-        c = np.matmul(self.fa[n:].T, self.bg[:n], out=self.c)
-        c /= n - 1
+        ab = np.multiply(w[:, None], self.fg, out=self.ab)
+        ab -= ab.sum(axis=0) / self.n  # bit-identical to .mean(axis=0)
+        c = np.matmul(ab[:, :self.width].T, ab[:, self.width:], out=self.c)
+        c /= self.n - 1
         c *= self.mask
         return c
 
@@ -281,11 +306,14 @@ class _Problem:
             return objective, None
         # d||M∘C||²/dw_n by the product rule: row n of (F @ C) * B plus row
         # n of (A @ C) * G, the two halves of (FA @ C) * BG.
-        n = self.n
+        r, width = self.r, self.width
+        self.fa[r:] = self.ab[self.rows, :width]
+        self.bg[:r] = self.ab[self.rows, width:]
         t = np.matmul(self.fa, c, out=self.t)
         t *= self.bg
-        rows = t.sum(axis=1)
-        grad = (2.0 / (n - 1)) * (rows[:n] + rows[n:]) + 2.0 * self.l2_lambda * w
+        sums = t.sum(axis=1)
+        grad = ((2.0 / (self.n - 1)) * (sums[:r] + sums[r:])
+                + 2.0 * self.l2_lambda * w[self.rows])
         return objective, grad
 
 
@@ -375,9 +403,10 @@ def optimize_weights(z, w0: WeightVector, cfg: ReweightConfig, *,
     ``sample_pairs`` would use, into one workspace every step reuses.
     ``free`` masks which weights may move; the projection rescales only
     those, holding the rest as constants while the full vector keeps
-    sum(w) = N, so the sum the free ones must reach is fixed at entry.
-    ``telemetry``, when given, receives (step, objective, weights) after
-    each projection.
+    sum(w) = N, so the sum the free ones must reach is fixed at entry, and
+    each step takes the gradient in the free weights only. The full-pair
+    mask is shared between calls. ``telemetry``, when given, receives
+    (step, objective, weights) after each projection.
     """
     COUNTERS["optimize_weights"] += 1
     z, w = _inputs(z, w0)
@@ -386,9 +415,10 @@ def optimize_weights(z, w0: WeightVector, cfg: ReweightConfig, *,
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
     q = 1 if linear else cfg.q
     maps = _maps(z, None if linear else _draw(rng, (d, 2), q))
-    problem = _Problem(*maps, _mask(*_pair_index(d, cfg.pair_fraction, rng), d, q),
-                       cfg.l2_lambda)
+    mask = (_full_mask(d, q) if cfg.pair_fraction == 1.0
+            else _mask(*_pair_index(d, cfg.pair_fraction, rng), d, q))
     idx, target = _free_target(w, float(n), free)
+    problem = _Problem(*maps, mask, cfg.l2_lambda, rows=idx)
 
     history = []
     for step in range(cfg.epochs_reweight):
@@ -397,7 +427,7 @@ def optimize_weights(z, w0: WeightVector, cfg: ReweightConfig, *,
             raise OptimizationError(f"non-finite objective or gradient at step {step}")
         history.append(objective)
         if idx.size:
-            w[idx] = _rescale(w[idx] - cfg.lr_w * grad[idx], target)
+            w[idx] = _rescale(w[idx] - cfg.lr_w * grad, target)
         if telemetry is not None:
             telemetry(step, objective, w.copy())
     final, _ = problem(w, False)

@@ -14,6 +14,12 @@ class DataFormatError(ValueError):
     """A file's content violates its documented format."""
 
 
+def is_number_list(values) -> bool:
+    """A JSON list of ints and floats only: np.asarray would also take
+    booleans and numeric strings as numbers."""
+    return isinstance(values, list) and all(type(v) in (int, float) for v in values)
+
+
 def atomic_write_text(path, text: str) -> None:
     """Write text to path via a temp file and rename, never a partial file.
 
@@ -85,9 +91,9 @@ def load_manifest(path) -> dict[str, np.ndarray]:
                 raise DataFormatError(f"{path}:{lineno}: name must be a string")
             if type(rows) is not int or type(cols) is not int or rows < 1 or cols < 1:
                 raise DataFormatError(f"{path}:{lineno}: bad shape {rows}x{cols}")
-            if not isinstance(values, list) or len(values) != rows * cols:
+            if not is_number_list(values) or len(values) != rows * cols:
                 raise DataFormatError(
-                    f"{path}:{lineno}: {rows}x{cols} needs a list of {rows * cols} values")
+                    f"{path}:{lineno}: {rows}x{cols} needs a list of {rows * cols} numbers")
             if name in arrays:
                 raise DataFormatError(f"{path}:{lineno}: duplicate parameter {name!r}")
             try:

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fileio import DataFormatError, atomic_write_text
+from .fileio import DataFormatError, atomic_write_text, is_number_list
 
 DEGREE_CAP = 32          # one-hot degree features clamp here
 TRIANGLE_MIN = 1         # accepted triangle counts, inclusive
@@ -309,9 +309,11 @@ def _parse_graph_record(record, lineno: int, path) -> Graph:
                 or not all(type(t) is int for t in e)):
             raise DataFormatError(f"{where}: edge {e!r} is not an integer pair")
         canonical.append((min(e), max(e)))
+    if not (isinstance(x, list) and all(map(is_number_list, x))):
+        raise DataFormatError(f"{where}: x must be a list of rows of numbers")
     try:
         features = np.asarray(x, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
+    except (ValueError, OverflowError):
         raise DataFormatError(f"{where}: x is not a numeric matrix") from None
     try:
         return Graph(n, tuple(sorted(canonical)), features, y)

@@ -354,14 +354,6 @@ def train(train_set: Dataset, test_set: Dataset,
     return model, report
 
 
-def weight_histogram(report: RunReport, bins: int = 20):
-    """Histogram of the last epoch's optimized sample weights."""
-    if report.final_weights is None:
-        raise ValueError(
-            "uniform-weight runs have no optimized weights to histogram")
-    return np.histogram(report.final_weights, bins=bins)
-
-
 def format_results(report: RunReport) -> str:
     """JSONL text: one line per epoch record, then one summary line.
 

@@ -195,20 +195,33 @@ def _reference_optimize(z, w0, cfg, free, linear, seed):
     return w, history
 
 
+def _stream_case(frozen):
+    """(z, w0, free) for one layout of frozen rows: a count of leading
+    frozen rows, a scattered free mask, nothing free, or a 2-group memory
+    batch (96 rows, the first 64 frozen at their stored weights, d = 64)."""
+    rng = np.random.default_rng(44)
+    if frozen == "memory":
+        z = rng.standard_normal((96, 64))
+        w0 = np.concatenate([rng.uniform(0.5, 1.5, 64), np.ones(32)])
+        return z, w0, np.arange(96) >= 64
+    base = rng.standard_normal(12)
+    z = np.column_stack([base, base ** 2, np.sin(base), rng.standard_normal((12, 3))])
+    free = {0: None, 4: np.arange(12) >= 4, "scattered": np.arange(12) % 3 != 1,
+            "all_frozen": np.zeros(12, dtype=bool)}[frozen]
+    return z, np.ones(12), free
+
+
 @pytest.mark.parametrize("q", [1, 3])
 @pytest.mark.parametrize("fraction", [1.0, 0.5])
 @pytest.mark.parametrize("linear", [False, True])
-@pytest.mark.parametrize("frozen", [0, 4])
+@pytest.mark.parametrize("frozen", [0, 4, "scattered", "all_frozen", "memory"])
 def test_optimize_weights_follows_the_public_stream_exactly(q, fraction, linear, frozen):
-    rng = np.random.default_rng(44)
-    base = rng.standard_normal(12)
-    z = np.column_stack([base, base ** 2, np.sin(base), rng.standard_normal((12, 3))])
-    free = None if frozen == 0 else np.arange(12) >= frozen
+    z, w0, free = _stream_case(frozen)
     cfg = dc.ReweightConfig(epochs_reweight=6, lr_w=0.05, l2_lambda=0.1, q=q,
                             pair_fraction=fraction)
-    got = dc.optimize_weights(z, dc.WeightVector.uniform(12), cfg, free=free,
+    got = dc.optimize_weights(z, dc.WeightVector(w0, w0.size), cfg, free=free,
                               linear=linear, seed=13)
-    want_w, want_history = _reference_optimize(z, np.ones(12), cfg, free, linear, 13)
+    want_w, want_history = _reference_optimize(z, w0, cfg, free, linear, 13)
     assert np.array_equal(got.weights.w, want_w)
     assert got.objectives == want_history
     # sample_banks draws in the documented order, so the stream is pinned to
@@ -244,8 +257,10 @@ def _reference_objective(w, f, g, mask, l2_lambda):
 def test_workspace_matches_the_reference_objective_bit_for_bit(n, frozen, d, q,
                                                                fraction, linear):
     # The stacked product [F; A] @ C must give the rows the two separate
-    # products give. BLAS libraries do not promise that a row's result is
-    # independent of the row count, so it is pinned on workload shapes.
+    # products give, and a workspace restricted to some rows must give
+    # those rows' entries. BLAS libraries do not promise that a row's result
+    # is independent of the row count, so it is pinned on workload shapes,
+    # for a contiguous tail (the memory layout) and a scattered row set.
     rng = np.random.default_rng(47)
     z = rng.standard_normal((n, d))
     fields = None if linear else dc._draw(rng, (d, 2), q)
@@ -253,6 +268,8 @@ def test_workspace_matches_the_reference_objective_bit_for_bit(n, frozen, d, q,
     width = 1 if linear else q
     mask = dc._mask(*dc._pair_index(d, fraction, rng), d, width)
     problem = dc._Problem(f, g, mask, 0.3)
+    subsets = [(rows, dc._Problem(f, g, mask, 0.3, rows=rows))
+               for rows in (np.arange(n - n // 3, n), np.arange(1, n, 3))]
     draws = [np.ones(n)] + [np.concatenate([np.ones(frozen),
                                             rng.uniform(0.2, 3.0, n - frozen)])
                             for _ in range(3)]
@@ -262,6 +279,24 @@ def test_workspace_matches_the_reference_objective_bit_for_bit(n, frozen, d, q,
         assert got_obj == want_obj
         assert np.array_equal(got_grad, want_grad)
         assert problem(w, False) == (want_obj, None)
+        for rows, restricted in subsets:
+            got_obj, got_grad = restricted(w, True)
+            assert got_obj == want_obj
+            assert np.array_equal(got_grad, want_grad[rows])
+
+
+@pytest.mark.parametrize("q", [1, 3])
+def test_full_pair_mask_is_shared_read_only_and_draws_nothing(q):
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    want = dc._mask(*dc._pair_index(7, 1.0, rng), 7, q)
+    assert rng.bit_generator.state == state
+    mask = dc._full_mask(7, q)
+    assert np.array_equal(mask, want)
+    assert dc._full_mask(7, q) is mask
+    with pytest.raises(ValueError):
+        mask[0, q] = 0.0
+    assert np.array_equal(mask, want)
 
 
 @pytest.mark.parametrize("pair", [(1, 1), (2, 1), (0, 4), (-1, 0)])

@@ -220,6 +220,8 @@ def test_load_reports_line_numbers(tmp_path):
         '{"n": 3, "edges": 5, "x": [[1.0], [0.0], [0.0]], "y": 0}',
         '{"n": 3, "edges": [[0, 1]], "x": [[1.0], [0.0], [0.0]], "y": true}',
         '{"n": 3, "edges": [[0, true]], "x": [[1.0], [0.0], [0.0]], "y": 0}',
+        '{"n": 3, "edges": [[0, 1]], "x": [["0.5"], [0.0], [0.0]], "y": 0}',
+        '{"n": 3, "edges": [[0, 1]], "x": [[true], [0.0], [0.0]], "y": 0}',
     ]
     for bad in cases:
         path = tmp_path / "bad.jsonl"

@@ -346,16 +346,25 @@ def test_load_results_rejects_lines_that_are_not_objects(tmp_path):
             hn.load_results(path)
 
 
-def test_weight_histogram_covers_all_weights(size_split):
+def test_weight_histogram_covers_all_weights(size_split, tmp_path, capsys):
+    # ``decorgnn report --histogram`` is the one place weights are binned
+    from decorgnn import cli
     train_set, test_set = size_split
     _, report = hn.train(train_set, test_set, small_cfg())
-    counts, edges = hn.weight_histogram(report, bins=10)
-    assert counts.sum() == len(report.final_weights)
-    assert len(edges) == 11
+    path = tmp_path / "run.jsonl"
+    hn.write_results(path, report)
+    capsys.readouterr()
+    assert cli.main(["report", "--results", str(path), "--histogram",
+                     "--bins", "10"]) == 0
+    rows = [line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("[")]
+    assert len(rows) == 10
+    assert (sum(int(row.split(")")[1].split()[0]) for row in rows)
+            == len(report.final_weights))
     _, baseline = hn.train(train_set, test_set,
                            small_cfg(mode="baseline_uniform", epochs=1))
-    with pytest.raises(ValueError):
-        hn.weight_histogram(baseline)
+    hn.write_results(path, baseline)
+    assert cli.main(["report", "--results", str(path), "--histogram"]) == 1
 
 
 def test_checkpoint_round_trip(size_split, tmp_path):
@@ -409,7 +418,8 @@ def test_load_manifest_rejects_malformed_records(tmp_path):
     good = {"name": "a", "rows": 1, "cols": 1, "values": [1.0]}
     for field, value in [("values", 5), ("values", ["x"]), ("rows", True),
                          ("values", [[1.0, 2.0]]), ("name", [1]),
-                         ("values", [10 ** 400])]:
+                         ("values", [10 ** 400]), ("values", ["1e3"]),
+                         ("values", [True])]:
         path.write_text(json.dumps(good) + "\n"
                         + json.dumps({**good, "name": "b", field: value})
                         + "\n")
