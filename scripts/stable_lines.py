@@ -13,6 +13,9 @@ compared too. The runs are:
 * both experiments, ``run_experiment`` at seeds 0 and 1 with count 200 and
   3 epochs: every per-mode results file, then the experiment summary;
 * an ``ood_gnn`` ``train`` with a 2-group global memory;
+* an ``ood_gnn`` ``train`` with every reweighting setting off its default
+  (``q=3 epochs_reweight=7 lr_w=0.02 l2_lambda=0.3``), so a setting that
+  does not reach the weight solve changes the output;
 * a CLI ``linear_decorr pair_fraction=0.5`` train, then its checkpoint.
 
 Each section starts with a ``# name`` line. Results files are written as
@@ -70,6 +73,14 @@ def collect(work: str) -> list[str]:
     hn.write_results(memory_results, report)
     lines.append("# ood_gnn k_groups=2")
     lines += hn.stable_lines(memory_results)
+
+    cfg = hn.TrainConfig(mode="ood_gnn", q=3, epochs_reweight=7, lr_w=0.02,
+                         l2_lambda=0.3, epochs=2, seed=1)
+    _, report = hn.train(train_set, test_set, cfg)
+    settings_results = os.path.join(work, "settings.jsonl")
+    hn.write_results(settings_results, report)
+    lines.append("# ood_gnn q=3 epochs_reweight=7 lr_w=0.02 l2_lambda=0.3")
+    lines += hn.stable_lines(settings_results)
 
     data = os.path.join(work, "graphs.jsonl")
     cli_results = os.path.join(work, "cli.jsonl")

@@ -1,8 +1,8 @@
 """Command line entry points: gen, train, experiment, report.
 
-Exit codes: 0 success, 1 usage problems (bad flags, unknown or malformed
-config keys), 2 data problems (missing or corrupt files, impossible
-generation requests), 3 numeric divergence during training.
+Exit codes: 0 success, 1 usage problems (bad flags, unknown keys, config
+or split values out of range), 2 data problems (missing or corrupt files,
+impossible generation requests), 3 numeric divergence during training.
 """
 
 from __future__ import annotations
@@ -82,6 +82,8 @@ def _split_spec(overrides: dict) -> SplitSpec:
 
 
 def _cmd_gen(args) -> int:
+    if args.seed < 0:
+        raise UsageError(f"--seed must be nonnegative, got {args.seed}")
     dataset = gen_triangles_dataset(args.count, args.min_nodes,
                                     args.max_nodes, args.seed)
     save_dataset(dataset, args.out)
@@ -91,12 +93,13 @@ def _cmd_gen(args) -> int:
 
 def _cmd_train(args) -> int:
     config, split = parse_config_pairs(args.config, allow_split=True)
-    try:
+    try:  # a DatasetError from the split spec is a ValueError too
         cfg = hn.TrainConfig(**config)
+        spec = _split_spec(split)
     except ValueError as err:
         raise UsageError(str(err)) from err
     dataset = load_dataset(args.data)
-    train_set, test_set = apply_split(dataset, _split_spec(split))
+    train_set, test_set = apply_split(dataset, spec)
     model, report = hn.train(train_set, test_set, cfg)
     hn.write_results(args.results, report)
     if args.checkpoint:

@@ -6,11 +6,13 @@ random Fourier feature maps: the squared Frobenius norm of the weighted
 partial cross-covariance between mapped columns. Summed over dimension
 pairs this gives a differentiable objective in the per-sample weights,
 minimized by projected gradient descent under the constraints
-sum(w) = N and w >= W_MIN. Each solve allocates its buffers once and
-scores every step in them, bit for bit as fresh arrays would. A step takes
-the gradient only in the weights it moves: weights held frozen (the stored
-groups of the global memory) still shape the objective, but the projection
-never changes them, so their gradient entries would be thrown away.
+sum(w) = N and w >= W_MIN. The solve takes plain arrays and explicit
+settings; ``harness.TrainConfig`` alone sets their defaults and checks them.
+Each solve allocates its buffers once and scores every step in them, bit
+for bit as fresh arrays would. A step takes the gradient only in the
+weights it moves: weights held frozen (the stored groups of the global
+memory) still shape the objective, but the projection never changes them,
+so their gradient entries would be thrown away.
 
 An independent Gaussian-kernel HSIC estimator is included as the
 statistical oracle the objective is validated against.
@@ -26,22 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 W_MIN = 1e-4  # weight floor, keeps every sample in play
-
-# Public entry-point call counts; training modes that must never touch this
-# module are asserted against these.
-COUNTERS = {
-    "weighted_partial_cov": 0,
-    "decorrelation_objective": 0,
-    "objective_grad_weights": 0,
-    "optimize_weights": 0,
-    "hsic_gaussian": 0,
-    "sample_pairs": 0,
-    "sample_bank": 0,
-}
-
-
-def snapshot_counters() -> dict:
-    return dict(COUNTERS)
 
 
 class OptimizationError(RuntimeError):
@@ -66,49 +52,6 @@ class RFFBank:
         return self.freqs.size
 
 
-@dataclass
-class WeightVector:
-    """Per-sample weights constrained to sum(w) = n with w >= W_MIN."""
-
-    w: np.ndarray
-    n: int
-
-    def __post_init__(self):
-        self.w = np.asarray(self.w, dtype=np.float64)
-        if self.w.shape != (self.n,):
-            raise ValueError(f"expected {self.n} weights, got shape {self.w.shape}")
-        if not np.isfinite(self.w).all():
-            raise ValueError("weights contain non-finite entries")
-
-    @classmethod
-    def uniform(cls, n: int) -> "WeightVector":
-        return cls(np.ones(n), n)
-
-
-@dataclass(frozen=True)
-class ReweightConfig:
-    epochs_reweight: int = 20
-    lr_w: float = 0.01
-    l2_lambda: float = 1.0
-    q: int = 1
-    pair_fraction: float = 1.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.epochs_reweight < 0:
-            raise ValueError("epochs_reweight must be nonnegative")
-        if self.lr_w <= 0:
-            raise ValueError("lr_w must be positive")
-        if self.l2_lambda < 0:
-            raise ValueError("l2_lambda must be nonnegative")
-        if self.q < 1:
-            raise ValueError("q must be at least 1")
-        if not 0.0 < self.pair_fraction <= 1.0:
-            raise ValueError("pair_fraction must lie in (0, 1]")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
-
-
 def _draw(rng, shape: tuple, q: int) -> np.ndarray:
     """Banks as one [*shape × (freqs, phases) × q] array, drawn in C order,
     each as frequencies then phases (scalars when q = 1, the same stream).
@@ -122,7 +65,6 @@ def _draw(rng, shape: tuple, q: int) -> np.ndarray:
 
 def sample_bank(q: int, rng) -> RFFBank:
     """Draw one bank: frequencies from N(0, 1), phases from U[0, 2*pi)."""
-    COUNTERS["sample_bank"] += 1
     return RFFBank(*_draw(np.random.default_rng(rng), (), q))
 
 
@@ -138,24 +80,12 @@ def sample_banks(d: int, q: int, rng, linear: bool = False) -> list:
     return [(RFFBank(*f), RFFBank(*g)) for f, g in fields]
 
 
-def rff_apply(x: float, bank: RFFBank) -> np.ndarray:
-    """Map one scalar through the bank; component q is sqrt(2)*cos(w_q x + p_q)."""
-    return np.sqrt(2.0) * np.cos(bank.freqs * float(x) + bank.phases)
-
-
 def feature_matrix(z: np.ndarray, bank: RFFBank | None) -> np.ndarray:
     """Map a column of N samples to [N × Q]; a None bank is the identity map."""
     z = np.asarray(z, dtype=np.float64).reshape(-1)
     if bank is None:
         return z[:, None].copy()
     return np.sqrt(2.0) * np.cos(np.outer(z, bank.freqs) + bank.phases)
-
-
-def _weights_array(weights, n: int) -> np.ndarray:
-    w = weights.w if isinstance(weights, WeightVector) else np.asarray(weights, dtype=np.float64)
-    if w.shape != (n,):
-        raise ValueError(f"expected {n} weights, got shape {w.shape}")
-    return w
 
 
 def weighted_partial_cov(zi, zj, weights, f_bank: RFFBank | None,
@@ -167,15 +97,11 @@ def weighted_partial_cov(zi, zj, weights, f_bank: RFFBank | None,
     accumulated sum is divided by N - 1. Uniform weights reduce this to the
     ordinary cross-covariance of the mapped columns.
     """
-    COUNTERS["weighted_partial_cov"] += 1
     zi = np.asarray(zi, dtype=np.float64).reshape(-1)
     zj = np.asarray(zj, dtype=np.float64).reshape(-1)
-    n = zi.size
-    if n != zj.size:
-        raise ValueError(f"column lengths differ: {n} vs {zj.size}")
-    if n < 2:
-        raise ValueError(f"need at least 2 samples, got {n}")
-    w = _weights_array(weights, n)
+    if zi.size != zj.size:
+        raise ValueError(f"column lengths differ: {zi.size} vs {zj.size}")
+    _, w = _inputs(zi[:, None], weights)
     return _Problem(feature_matrix(zi, f_bank), feature_matrix(zj, g_bank),
                     1.0).cov(w)
 
@@ -209,7 +135,6 @@ def sample_pairs(d: int, fraction: float, rng) -> list[tuple[int, int]]:
     ceil(fraction * d) dimensions without replacement and pairs within the
     sample; fewer than two surviving dimensions is a domain error.
     """
-    COUNTERS["sample_pairs"] += 1
     return list(zip(*_pair_index(d, fraction, rng).tolist()))
 
 
@@ -242,7 +167,10 @@ def _inputs(z, weights) -> tuple[np.ndarray, np.ndarray]:
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2 or z.shape[0] < 2:
         raise ValueError(f"representations must be [N>=2 x d], got {z.shape}")
-    return z, _weights_array(weights, z.shape[0])
+    w = np.asarray(weights, dtype=np.float64)
+    if w.shape != (z.shape[0],):
+        raise ValueError(f"expected {z.shape[0]} weights, got shape {w.shape}")
+    return z, w
 
 
 def _setup(z, weights, banks, pairs):
@@ -320,7 +248,6 @@ class _Problem:
 def decorrelation_objective(z, weights, banks, pairs) -> float:
     """Sum over pairs (i, j) of the squared Frobenius norm of the weighted
     partial cross-covariance between mapped columns i and j."""
-    COUNTERS["decorrelation_objective"] += 1
     w, *maps = _setup(z, weights, banks, pairs)
     return _Problem(*maps)(w, False)[0]
 
@@ -328,7 +255,6 @@ def decorrelation_objective(z, weights, banks, pairs) -> float:
 def objective_grad_weights(z, weights, banks, pairs,
                            l2_lambda: float = 0.0) -> np.ndarray:
     """Exact gradient of decorrelation_objective + l2_lambda * ||w||^2 in w."""
-    COUNTERS["objective_grad_weights"] += 1
     w, *maps = _setup(z, weights, banks, pairs)
     return _Problem(*maps, l2_lambda)(w, True)[1]
 
@@ -387,54 +313,60 @@ def project_weights(w: np.ndarray, total: float | None = None,
 
 @dataclass
 class OptimizeResult:
-    weights: WeightVector
+    """One weight solve's outcome, as plain values."""
+
+    weights: np.ndarray         # the final weights, all N of them
     objectives: list            # penalized objective, one entry per step + final
     improved: bool              # final <= initial; False doubles as the warning flag
 
 
-def optimize_weights(z, w0: WeightVector, cfg: ReweightConfig, *,
-                     free=None, linear: bool = False, seed=None,
-                     telemetry=None) -> OptimizeResult:
-    """Run ``cfg.epochs_reweight`` projected gradient steps on the penalized
-    objective, starting from ``w0``.
+def optimize_weights(z, w0, *, steps: int, lr_w: float, l2_lambda: float,
+                     q: int, pair_fraction: float, seed, free=None,
+                     linear: bool = False, telemetry=None) -> OptimizeResult:
+    """Run ``steps`` projected gradient steps of size ``lr_w`` on the
+    objective plus ``l2_lambda``·||w||², starting from the array ``w0``.
 
-    Maps and pair mask are drawn once at entry from ``seed`` (falls back to
-    ``cfg.seed``) as arrays, from the stream ``sample_banks`` then
-    ``sample_pairs`` would use, into one workspace every step reuses.
-    ``free`` masks which weights may move; the projection rescales only
-    those, holding the rest as constants while the full vector keeps
-    sum(w) = N, so the sum the free ones must reach is fixed at entry, and
-    each step takes the gradient in the free weights only. The full-pair
-    mask is shared between calls. ``telemetry``, when given, receives
-    (step, objective, weights) after each projection.
+    Maps of width ``q`` (1 when ``linear``) and the mask of the pairs among
+    a ``pair_fraction`` of the dimensions are drawn once at entry from
+    ``seed``, as arrays, from the stream ``sample_banks`` then
+    ``sample_pairs`` would use, into one workspace every step reuses. The
+    settings are used as given (``harness.TrainConfig`` checks them). A
+    ``w0`` of the wrong shape raises ValueError, a non-finite one
+    OptimizationError. ``free`` masks which weights may move; the
+    projection rescales only those, holding the rest as constants while the
+    full vector keeps sum(w) = N, so the sum the free ones must reach is
+    fixed at entry, and each step takes the gradient in the free weights
+    only. The full-pair mask is shared between calls. ``telemetry``, when
+    given, receives (step, objective, weights) after each projection.
     """
-    COUNTERS["optimize_weights"] += 1
     z, w = _inputs(z, w0)
+    if not np.isfinite(w).all():
+        raise OptimizationError("initial weights contain non-finite entries")
     n, d = z.shape
     w = w.copy()
-    rng = np.random.default_rng(cfg.seed if seed is None else seed)
-    q = 1 if linear else cfg.q
+    rng = np.random.default_rng(seed)
+    q = 1 if linear else q
     maps = _maps(z, None if linear else _draw(rng, (d, 2), q))
-    mask = (_full_mask(d, q) if cfg.pair_fraction == 1.0
-            else _mask(*_pair_index(d, cfg.pair_fraction, rng), d, q))
+    mask = (_full_mask(d, q) if pair_fraction == 1.0
+            else _mask(*_pair_index(d, pair_fraction, rng), d, q))
     idx, target = _free_target(w, float(n), free)
-    problem = _Problem(*maps, mask, cfg.l2_lambda, rows=idx)
+    problem = _Problem(*maps, mask, l2_lambda, rows=idx)
 
     history = []
-    for step in range(cfg.epochs_reweight):
+    for step in range(steps):
         objective, grad = problem(w, True)
         if not np.isfinite(objective) or not np.isfinite(grad).all():
             raise OptimizationError(f"non-finite objective or gradient at step {step}")
         history.append(objective)
         if idx.size:
-            w[idx] = _rescale(w[idx] - cfg.lr_w * grad, target)
+            w[idx] = _rescale(w[idx] - lr_w * grad, target)
         if telemetry is not None:
             telemetry(step, objective, w.copy())
     final, _ = problem(w, False)
     if not np.isfinite(final):
         raise OptimizationError("non-finite final objective")
     history.append(final)
-    return OptimizeResult(weights=WeightVector(w, n), objectives=history,
+    return OptimizeResult(weights=w, objectives=history,
                           improved=final <= history[0] + 1e-12)
 
 
@@ -445,7 +377,6 @@ def hsic_gaussian(x, y, bandwidth: float | None = None) -> float:
     (computed separately for x and y). Requires N >= 4 paired samples; a
     zero-variance input degenerates to 0 with a warning.
     """
-    COUNTERS["hsic_gaussian"] += 1
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     if x.size != y.size:

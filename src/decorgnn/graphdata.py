@@ -9,6 +9,7 @@ size or perturb test features, leaving structure untouched.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -110,8 +111,11 @@ class SplitSpec:
             raise DatasetError(f"unknown split kind {self.kind!r}")
         if self.kind == "by_size" and self.train_max_nodes < 1:
             raise DatasetError("by_size split needs train_max_nodes >= 1")
-        if self.kind == "by_feature_noise" and self.noise_sigma < 0:
-            raise DatasetError("noise_sigma must be nonnegative")
+        sigma = self.noise_sigma
+        if self.kind == "by_feature_noise" and not (math.isfinite(sigma) and sigma >= 0):
+            raise DatasetError(f"noise_sigma must be finite and >= 0, got {sigma}")
+        if self.seed < 0:
+            raise DatasetError(f"split seed must be nonnegative, got {self.seed}")
 
 
 def gen_random_graph(num_nodes: int, edge_prob: float, rng_seed) -> Graph:

@@ -95,15 +95,18 @@ class TrainConfig:
         for gamma in self.gammas:
             if not 0.0 <= gamma < 1.0:
                 raise ValueError(f"momentum must lie in [0, 1), got {gamma}")
-        # bad reweighting settings fail here, before any data is read
-        self.reweight_config()
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
+        # reweighting settings fail here, in every mode, before any data is read
+        if self.epochs_reweight < 0:
+            raise ValueError("epochs_reweight must be nonnegative")
+        if not (math.isfinite(self.lr_w) and self.lr_w > 0):
+            raise ValueError(f"lr_w must be positive and finite, got {self.lr_w}")
+        if not (math.isfinite(self.l2_lambda) and self.l2_lambda >= 0):
+            raise ValueError(f"l2_lambda must be finite and >= 0, got {self.l2_lambda}")
+        if self.q < 1:
+            raise ValueError("q must be at least 1")
         dc.dims_kept(self.hidden_dim, self.pair_fraction)
-
-    def reweight_config(self) -> dc.ReweightConfig:
-        return dc.ReweightConfig(
-            epochs_reweight=self.epochs_reweight, lr_w=self.lr_w,
-            l2_lambda=self.l2_lambda, q=self.q,
-            pair_fraction=self.pair_fraction, seed=self.seed)
 
     def as_dict(self) -> dict:
         out = dict(self.__dict__)
@@ -236,11 +239,12 @@ def _reweight_batch(z_value, cfg, memory, epoch, batch_idx, stats):
             stats["violations"] += 1
 
     result = dc.optimize_weights(
-        z_hat, w_hat, cfg.reweight_config(), free=free,
-        linear=(cfg.mode == "linear_decorr"),
+        z_hat, w_hat, steps=cfg.epochs_reweight, lr_w=cfg.lr_w,
+        l2_lambda=cfg.l2_lambda, q=cfg.q, pair_fraction=cfg.pair_fraction,
         seed=_derived_seed([cfg.seed, _STREAM_BANKS, epoch, batch_idx]),
+        free=free, linear=(cfg.mode == "linear_decorr"),
         telemetry=check_constraints)
-    w_new = result.weights.w[-len(w_local):]
+    w_new = result.weights[-len(w_local):]
     if memory is not None:
         gm.momentum_update(memory, z_std, w_new)
     return w_new, result.objectives[-1]
@@ -449,10 +453,11 @@ def load_checkpoint(path):
 
     The parameter layout comes from the encoder: the depth and the widths
     read from ``encoder.layer{i}.w1`` and ``classifier.w`` build a template
-    with ``init_encoder`` and ``init_classifier``, and every entry of its
-    ``named_parameters`` must be present with the template's shape, or
-    DataFormatError names the path and the entry. Non-finite values raise
-    NonFiniteError.
+    with ``init_encoder`` and ``init_classifier``. The manifest must hold
+    exactly the entries of its ``named_parameters``, each with the
+    template's shape, or DataFormatError names the path and the first
+    entry that is missing, unknown (such as a layer past a gap in the
+    numbering) or misshapen. Non-finite values raise NonFiniteError.
     """
     arrays = load_manifest(path)
     num_layers = 0
@@ -466,7 +471,11 @@ def load_checkpoint(path):
         encoder=enc.init_encoder(in_dim, hidden, num_layers, rng),
         classifier=enc.init_classifier(
             hidden, arrays["classifier.w"].shape[1], rng))
-    for name, tensor in enc.named_parameters(model).items():
+    params = enc.named_parameters(model)
+    unknown = next((name for name in arrays if name not in params), None)
+    if unknown is not None:
+        raise DataFormatError(f"{path}: unexpected entry {unknown}")
+    for name, tensor in params.items():
         if name not in arrays:
             raise DataFormatError(f"{path}: missing {name}")
         if arrays[name].shape != tensor.shape:

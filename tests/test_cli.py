@@ -33,6 +33,15 @@ def test_gen_missing_required_flag_exits_1():
     assert cli.main(["gen", "--count", "5"]) == 1
 
 
+def test_gen_rejects_a_negative_seed(tmp_path, capsys):
+    out = tmp_path / "x.jsonl"
+    assert cli.main(["gen", "--out", str(out), "--count", "5",
+                     "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 def test_gen_impossible_request_exits_2(tmp_path, capsys):
     code = cli.main(["gen", "--out", str(tmp_path / "x.jsonl"),
                      "--count", "5", "--min-nodes", "2", "--max-nodes", "2"])
@@ -71,11 +80,42 @@ def test_train_rejects_bad_values(data_file, tmp_path, capsys):
     # reweighting settings are checked when the config is built, in every
     # mode, before any data is read
     for bad in (["lr_w=0"], ["lr_w=0", "mode=baseline_uniform"], ["q=0"],
-                ["pair_fraction=2"], ["hidden_dim=2", "pair_fraction=0.3"]):
+                ["pair_fraction=2"], ["hidden_dim=2", "pair_fraction=0.3"],
+                ["lr_w=nan"], ["lr_w=inf"], ["l2_lambda=nan"],
+                ["l2_lambda=-1"], ["seed=-1"]):
         capsys.readouterr()
         assert cli.main(base + bad) == 1, bad
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1, err
+    assert not (tmp_path / "r.jsonl").exists()
+
+
+def test_train_rejects_bad_split_values_before_reading_data(data_file,
+                                                           tmp_path, capsys):
+    results = tmp_path / "r.jsonl"
+    # a missing data file would exit 2, so exit 1 shows nothing was read
+    for data in (data_file, tmp_path / "absent.jsonl"):
+        for bad in (["split_kind=by_feature_noise", "split_seed=-3"],
+                    ["split_kind=bogus"], ["split_max_nodes=0"],
+                    ["split_kind=by_feature_noise", "split_sigma=-1"],
+                    ["split_kind=by_feature_noise", "split_sigma=nan"]):
+            capsys.readouterr()
+            code = cli.main(["train", "--data", str(data),
+                             "--results", str(results)] + bad)
+            assert code == 1, bad
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1, err
+    assert not results.exists()
+
+
+def test_split_leaving_a_side_empty_is_a_data_error(data_file, tmp_path,
+                                                   capsys):
+    code = cli.main(["train", "--data", str(data_file),
+                     "--results", str(tmp_path / "r.jsonl"),
+                     "split_max_nodes=100"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and err.count("\n") == 1, err
     assert not (tmp_path / "r.jsonl").exists()
 
 

@@ -43,8 +43,18 @@ def test_train_config_validation():
         hn.TrainConfig(k_groups=2, gammas=(0.5,))
     with pytest.raises(ValueError):
         hn.TrainConfig(k_groups=1, gammas=(1.0,))
+    # the reweighting settings are checked here, in every mode
+    for bad in (dict(lr_w=0.0), dict(lr_w=-0.1), dict(lr_w=float("nan")),
+                dict(lr_w=float("inf")), dict(l2_lambda=-1),
+                dict(l2_lambda=float("nan")), dict(l2_lambda=float("inf")),
+                dict(pair_fraction=0.0), dict(pair_fraction=float("nan")),
+                dict(q=0), dict(epochs_reweight=-1), dict(seed=-1),
+                dict(lr_w=0.0, mode="baseline_uniform")):
+        with pytest.raises(ValueError):
+            hn.TrainConfig(**bad)
     cfg = hn.TrainConfig(lr=1e-4, batch_size=16, k_groups=1, gammas=[0.9])
     assert cfg.gammas == (0.9,)
+    assert cfg.epochs_reweight == 20
 
 
 def test_standardize_centers_scales_and_guards_constants():
@@ -67,11 +77,17 @@ def test_same_seed_gives_same_initial_model_across_modes(size_split):
         assert np.array_equal(pa.value, pb.value)
 
 
-def test_baseline_mode_never_invokes_reweighting(size_split):
+def test_baseline_mode_never_invokes_reweighting(size_split, monkeypatch):
     train_set, test_set = size_split
-    before = dc.snapshot_counters()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a baseline run reached the decorrelation module")
+
+    for name in ("weighted_partial_cov", "decorrelation_objective",
+                 "objective_grad_weights", "optimize_weights", "hsic_gaussian",
+                 "sample_pairs", "sample_bank"):
+        monkeypatch.setattr(dc, name, forbidden)
     _, report = hn.train(train_set, test_set, small_cfg(mode="baseline_uniform"))
-    assert dc.snapshot_counters() == before
     assert report.constraint_checks == 0
     assert report.final_weights is None
     assert all(r.objective is None for r in report.records)
@@ -409,6 +425,18 @@ def test_checkpoint_rejects_bad_shapes(size_split, tmp_path):
         hn.load_checkpoint(bad)
     save_manifest(bad, {"unrelated": np.zeros((1, 1))})
     with pytest.raises(DataFormatError, match="not a model checkpoint"):
+        hn.load_checkpoint(bad)
+    # entries the template lacks: a misspelt name, and a layer past a gap
+    arrays = load_manifest(path)
+    arrays["encoder.lyr0.w1"] = arrays["encoder.layer0.w1"]
+    save_manifest(bad, arrays)
+    with pytest.raises(DataFormatError, match=r"unexpected entry encoder\.lyr0\.w1"):
+        hn.load_checkpoint(bad)
+    deep = hn.init_model(small_cfg(num_layers=3), in_dim, train_set.num_classes)
+    arrays = {name: t.value for name, t in enc.named_parameters(deep).items()
+              if not name.startswith("encoder.layer1.")}
+    save_manifest(bad, arrays)
+    with pytest.raises(DataFormatError, match=r"unexpected entry encoder\.layer2\."):
         hn.load_checkpoint(bad)
 
 
