@@ -3,16 +3,19 @@ sample-weight optimizer that suppresses it.
 
 Dependence between two columns of a representation matrix is scored through
 random Fourier feature maps: the squared Frobenius norm of the weighted
-partial cross-covariance between mapped columns. Summed over dimension
-pairs this gives a differentiable objective in the per-sample weights,
-minimized by projected gradient descent under the constraints
-sum(w) = N and w >= W_MIN. The solve takes plain arrays and explicit
-settings; ``harness.TrainConfig`` alone sets their defaults and checks them.
-Each solve allocates its buffers once and scores every step in them, bit
-for bit as fresh arrays would. A step takes the gradient only in the
-weights it moves: weights held frozen (the stored groups of the global
-memory) still shape the objective, but the projection never changes them,
-so their gradient entries would be thrown away.
+partial cross-covariance between mapped columns. One draw of the map
+x -> sqrt(2)·cos(freq·x + phase) is a bank, a plain [2 × q] array of
+frequencies and phases; the banks of d dimensions are one [d × 2 × 2 × q]
+array, and None stands for the identity maps. Summed over dimension pairs
+this gives a differentiable objective in the per-sample weights, minimized
+by projected gradient descent under the constraints sum(w) = N and
+w >= W_MIN. The solve takes plain arrays and explicit settings;
+``harness.TrainConfig`` alone sets their defaults and checks them. Each
+solve allocates its buffers once and scores every step in them, bit for
+bit as fresh arrays would. A step takes the gradient only in the weights
+it moves: weights held frozen (the stored groups of the global memory)
+still shape the objective, but the projection never changes them, so
+their gradient entries would be thrown away.
 
 An independent Gaussian-kernel HSIC estimator is included as the
 statistical oracle the objective is validated against.
@@ -34,76 +37,55 @@ class OptimizationError(RuntimeError):
     """The weight optimizer hit a non-finite value or infeasible constraint."""
 
 
-@dataclass(frozen=True)
-class RFFBank:
-    """One draw of random Fourier features: x -> sqrt(2) * cos(freq*x + phase)."""
-
-    freqs: np.ndarray
-    phases: np.ndarray
-
-    def __post_init__(self):
-        if self.freqs.shape != self.phases.shape or self.freqs.ndim != 1:
-            raise ValueError("freqs and phases must be 1-D and the same length")
-        if self.freqs.size < 1:
-            raise ValueError("a bank needs at least one component")
-
-    @property
-    def size(self) -> int:
-        return self.freqs.size
-
-
 def _draw(rng, shape: tuple, q: int) -> np.ndarray:
     """Banks as one [*shape × (freqs, phases) × q] array, drawn in C order,
     each as frequencies then phases (scalars when q = 1, the same stream).
     A phase is 2π·random(), the value uniform(0, 2π) computes as
-    0 + (2π - 0)·random(), at half the call's cost."""
+    0 + (2π - 0)·random(), at half the call's cost. The only draw of a
+    bank; an empty one (q < 1) is refused first."""
+    if q < 1:
+        raise ValueError(f"a bank needs at least one component, got q={q}")
     size = None if q == 1 else q
     fields = np.array([(rng.standard_normal(size), 2.0 * np.pi * rng.random(size))
                        for _ in range(math.prod(shape))])
     return fields.reshape(*shape, 2, q)
 
 
-def sample_bank(q: int, rng) -> RFFBank:
-    """Draw one bank: frequencies from N(0, 1), phases from U[0, 2*pi)."""
-    return RFFBank(*_draw(np.random.default_rng(rng), (), q))
+def sample_bank(q: int, rng) -> np.ndarray:
+    """Draw one bank as a [2 × q] array: frequencies from N(0, 1) in row 0,
+    phases from U[0, 2π) in row 1."""
+    return _draw(np.random.default_rng(rng), (), q)
 
 
-def sample_banks(d: int, q: int, rng, linear: bool = False) -> list:
-    """Per-dimension (f, g) bank pairs; each role draws independently.
-
-    ``linear=True`` returns identity maps (None placeholders), which turn
-    the dependence measure into plain linear cross-covariance.
-    """
-    if linear:
-        return [(None, None)] * d
-    fields = _draw(np.random.default_rng(rng), (d, 2), q)
-    return [(RFFBank(*f), RFFBank(*g)) for f, g in fields]
+def sample_banks(d: int, q: int, rng) -> np.ndarray:
+    """Dimension i's f and g banks as ``banks[i][0]`` and ``banks[i][1]`` of
+    one [d × 2 × 2 × q] array; each role draws independently."""
+    return _draw(np.random.default_rng(rng), (d, 2), q)
 
 
-def feature_matrix(z: np.ndarray, bank: RFFBank | None) -> np.ndarray:
-    """Map a column of N samples to [N × Q]; a None bank is the identity map."""
+def feature_matrix(z: np.ndarray, bank) -> np.ndarray:
+    """Map N samples to [N × Q] through a [2 × Q] bank; None is the identity."""
     z = np.asarray(z, dtype=np.float64).reshape(-1)
     if bank is None:
         return z[:, None].copy()
-    return np.sqrt(2.0) * np.cos(np.outer(z, bank.freqs) + bank.phases)
+    freqs, phases = bank
+    return np.sqrt(2.0) * np.cos(np.outer(z, freqs) + phases)
 
 
-def weighted_partial_cov(zi, zj, weights, f_bank: RFFBank | None,
-                         g_bank: RFFBank | None) -> np.ndarray:
-    """Weighted partial cross-covariance between two mapped columns.
+def weighted_partial_cov(zi, zj, weights, f_bank, g_bank) -> np.ndarray:
+    """Weighted partial cross-covariance between zi and zj mapped through
+    the [2 × Q] banks ``f_bank`` and ``g_bank`` (None is the identity map).
 
     Row n contributes (w_n f(z_i,n) - fbar) outer (w_n g(z_j,n) - gbar)
     where fbar is the plain mean of the weighted rows (divisor N), and the
     accumulated sum is divided by N - 1. Uniform weights reduce this to the
     ordinary cross-covariance of the mapped columns.
     """
-    zi = np.asarray(zi, dtype=np.float64).reshape(-1)
-    zj = np.asarray(zj, dtype=np.float64).reshape(-1)
-    if zi.size != zj.size:
-        raise ValueError(f"column lengths differ: {zi.size} vs {zj.size}")
-    _, w = _inputs(zi[:, None], weights)
-    return _Problem(feature_matrix(zi, f_bank), feature_matrix(zj, g_bank),
-                    1.0).cov(w)
+    f, g = feature_matrix(zi, f_bank), feature_matrix(zj, g_bank)
+    if len(f) != len(g):
+        raise ValueError(f"column lengths differ: {len(f)} vs {len(g)}")
+    _, w = _inputs(f, weights)
+    return _Problem(f, g, 1.0).cov(w)
 
 
 def dims_kept(d: int, fraction: float) -> int:
@@ -143,7 +125,7 @@ def _maps(z: np.ndarray, fields) -> tuple[np.ndarray, np.ndarray]:
     [d × (f, g) × (freqs, phases) × q] array; None is the identity map."""
     if fields is None:
         return z, z
-    freqs, phases = fields.transpose(2, 1, 0, 3)[:, :, None]
+    freqs, phases = np.transpose(fields, (2, 1, 0, 3))[:, :, None]
     f, g = np.sqrt(2.0) * np.cos(z[:, :, None] * freqs + phases)
     return f.reshape(z.shape[0], -1), g.reshape(z.shape[0], -1)
 
@@ -174,22 +156,21 @@ def _inputs(z, weights) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _setup(z, weights, banks, pairs):
-    """Validated weights, stacked f/g maps and pair mask for one objective."""
+    """Validated weights, stacked f/g maps and pair mask for one objective;
+    ``banks`` is None (identity maps) or a [d × 2 × 2 × q] array."""
     z, w = _inputs(z, weights)
     d = z.shape[1]
-    if len(banks) != d:
-        raise ValueError(f"got {len(banks)} bank pairs for {d} dimensions")
-    widths = {None if b is None else b.size for pair in banks for b in pair}
-    if len(widths) != 1:
-        raise ValueError("banks must share one width, or all be identity maps")
-    q = widths.pop() or 1  # an identity map has width 1
-    fields = None if banks[0][0] is None else np.array(
-        [[(b.freqs, b.phases) for b in pair] for pair in banks])
+    q = 1  # an identity map has width 1
+    if banks is not None:
+        q = np.shape(banks)[-1] if np.ndim(banks) == 4 else 0
+        if np.shape(banks) != (d, 2, 2, q) or q < 1:
+            raise ValueError(
+                f"banks must have shape ({d}, 2, 2, q), got {np.shape(banks)}")
     rows, cols = np.asarray(pairs, dtype=np.intp).reshape(len(pairs), 2).T
     bad = np.flatnonzero((rows < 0) | (rows >= cols) | (cols >= d))
     if bad.size:
         raise ValueError(f"pair ({rows[bad[0]]}, {cols[bad[0]]}) invalid for d={d}")
-    return w, *_maps(z, fields), _mask(rows, cols, d, q)
+    return w, *_maps(z, banks), _mask(rows, cols, d, q)
 
 
 class _Problem:
@@ -326,10 +307,10 @@ def optimize_weights(z, w0, *, steps: int, lr_w: float, l2_lambda: float,
     """Run ``steps`` projected gradient steps of size ``lr_w`` on the
     objective plus ``l2_lambda``·||w||², starting from the array ``w0``.
 
-    Maps of width ``q`` (1 when ``linear``) and the mask of the pairs among
-    a ``pair_fraction`` of the dimensions are drawn once at entry from
-    ``seed``, as arrays, from the stream ``sample_banks`` then
-    ``sample_pairs`` would use, into one workspace every step reuses. The
+    Banks of width ``q`` (``sample_banks``; identity maps when ``linear``)
+    and then the mask of the pairs among a ``pair_fraction`` of the
+    dimensions (the stream ``sample_pairs`` would use) are drawn once at
+    entry from ``seed``, into one workspace every step reuses. The
     settings are used as given (``harness.TrainConfig`` checks them). A
     ``w0`` of the wrong shape raises ValueError, a non-finite one
     OptimizationError. ``free`` masks which weights may move; the
@@ -346,7 +327,7 @@ def optimize_weights(z, w0, *, steps: int, lr_w: float, l2_lambda: float,
     w = w.copy()
     rng = np.random.default_rng(seed)
     q = 1 if linear else q
-    maps = _maps(z, None if linear else _draw(rng, (d, 2), q))
+    maps = _maps(z, None if linear else sample_banks(d, q, rng))
     mask = (_full_mask(d, q) if pair_fraction == 1.0
             else _mask(*_pair_index(d, pair_fraction, rng), d, q))
     idx, target = _free_target(w, float(n), free)

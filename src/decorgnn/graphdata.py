@@ -27,7 +27,7 @@ _NOISE_HOLDOUT_FRACTION = 0.2
 
 
 class GenerationError(RuntimeError):
-    """Rejection sampling exhausted its attempt budget."""
+    """Rejection sampling exhausted its attempt budget or the memory."""
 
 
 class DatasetError(ValueError):
@@ -210,9 +210,13 @@ def gen_triangles_dataset(count: int, min_nodes: int, max_nodes: int,
         for _ in range(REJECTION_BUDGET):
             n = int(rng.integers(min_nodes, max_nodes + 1))
             low, high = _edge_prob_bounds(n)
-            edges = _sample_edges(n, rng.uniform(low, high), rng)
-            candidate = Graph(n, edges, np.zeros((n, 1)), 0)
-            triangles = count_triangles(candidate)
+            try:  # all n(n-1)/2 node pairs are drawn, and n×n are counted
+                edges = _sample_edges(n, rng.uniform(low, high), rng)
+                candidate = Graph(n, edges, np.zeros((n, 1)), 0)
+                triangles = count_triangles(candidate)
+            except MemoryError as err:
+                raise GenerationError(
+                    f"graph {i}: out of memory drawing a {n}-node graph") from err
             if TRIANGLE_MIN <= triangles <= TRIANGLE_MAX:
                 g = one_hot_degree_features(replace(candidate, label=triangles - 1))
                 graphs.append(g)

@@ -384,9 +384,9 @@ def _finite_number(value) -> bool:
 def load_results(path) -> tuple[list, dict]:
     """Parse a results file back into (epoch records, summary).
 
-    The summary must carry every field ``decorgnn report`` prints, and so
-    must the last epoch record: a numeric ``loss`` and an ``objective``
-    that is a number or null. A ``final_weights`` entry, which
+    The summary must carry every field ``decorgnn report`` prints, with
+    finite accuracies, and so must the last epoch record: a finite ``loss``
+    and a finite or null ``objective``. A ``final_weights`` entry, which
     ``report --histogram`` bins, must be null or a list of finite numbers.
     """
     records, summary = [], None
@@ -414,8 +414,8 @@ def load_results(path) -> tuple[list, dict]:
     if missing:
         raise DataFormatError(f"{path}: summary lacks {', '.join(missing)}")
     for field in ("final_train_acc", "final_test_acc"):
-        if type(summary[field]) not in (int, float):
-            raise DataFormatError(f"{path}: summary {field} is not a number")
+        if not _finite_number(summary[field]):
+            raise DataFormatError(f"{path}: summary {field} is not a finite number")
     weights = summary.get("final_weights")
     if weights is not None and not (
             isinstance(weights, list) and all(map(_finite_number, weights))):
@@ -424,12 +424,12 @@ def load_results(path) -> tuple[list, dict]:
             f"finite numbers")
     if records:
         last = records[-1]
-        if (type(last.get("loss")) not in (int, float)
-                or "objective" not in last
-                or type(last["objective"]) not in (int, float, type(None))):
+        if (not _finite_number(last.get("loss")) or "objective" not in last
+                or not (last["objective"] is None
+                        or _finite_number(last["objective"]))):
             raise DataFormatError(
-                f"{path}: last epoch record needs a numeric loss and an "
-                f"objective that is a number or null")
+                f"{path}: last epoch record needs a finite loss and an "
+                f"objective that is a finite number or null")
     return records, summary
 
 

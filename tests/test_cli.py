@@ -3,6 +3,7 @@ import json
 import pytest
 
 from decorgnn import cli
+from decorgnn import graphdata as gd
 from decorgnn import harness as hn
 from decorgnn.encoder import DivergenceError
 from decorgnn.graphdata import load_dataset
@@ -47,6 +48,22 @@ def test_gen_impossible_request_exits_2(tmp_path, capsys):
                      "--count", "5", "--min-nodes", "2", "--max-nodes", "2"])
     assert code == 2
     assert "data error" in capsys.readouterr().err
+
+
+def test_gen_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
+    # A node count whose n(n-1)/2 pairs cannot be allocated; the real
+    # allocation would ask for many GiB, so it is stood in for.
+    def exhausted(n, p, rng):
+        raise MemoryError(f"cannot allocate {n * (n - 1) // 2} pairs")
+
+    monkeypatch.setattr(gd, "_sample_edges", exhausted)
+    out = tmp_path / "x.jsonl"
+    assert cli.main(["gen", "--out", str(out), "--count", "5",
+                     "--min-nodes", "90000", "--max-nodes", "90000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: graph 0:") and "90000-node" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_train_end_to_end(data_file, tmp_path, capsys):
@@ -250,6 +267,21 @@ def test_report_incomplete_last_epoch_record_exits_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("data error:") and str(results) in err
         assert err.count("\n") == 1
+    # numbers report cannot print: past the float range, or not finite
+    good = {"kind": "epoch", "epoch": 0, "loss": 1.0, "objective": None}
+    for bad in (10 ** 400, float("nan"), float("inf")):
+        for last, line in ((good, {**summary, "final_train_acc": bad}),
+                           (good, {**summary, "final_test_acc": bad}),
+                           ({**good, "loss": bad}, summary),
+                           ({**good, "objective": bad}, summary)):
+            results.write_text(json.dumps(last) + "\n" + json.dumps(line)
+                               + "\n")
+            capsys.readouterr()
+            assert cli.main(["report", "--results", str(results)]) == 2, (
+                last, line)
+            err = capsys.readouterr().err
+            assert err.startswith("data error:") and str(results) in err
+            assert err.count("\n") == 1
     for objective in (None, 0.125):
         last = {"kind": "epoch", "epoch": 0, "loss": 1.0,
                 "objective": objective}

@@ -11,9 +11,9 @@ def transcription_cov(zi, zj, w, f_bank, g_bank):
     """Term-by-term oracle: row n contributes (w_n f(z_i,n) - fbar) outer
     (w_n g(z_j,n) - gbar); means divide by N, the sum by N - 1."""
     n = len(zi)
-    f_rows = [math.sqrt(2.0) * np.cos(f_bank.freqs * zi[k] + f_bank.phases)
+    f_rows = [math.sqrt(2.0) * np.cos(f_bank[0] * zi[k] + f_bank[1])
               for k in range(n)]
-    g_rows = [math.sqrt(2.0) * np.cos(g_bank.freqs * zj[k] + g_bank.phases)
+    g_rows = [math.sqrt(2.0) * np.cos(g_bank[0] * zj[k] + g_bank[1])
               for k in range(n)]
     f_bar = sum(w[k] * f_rows[k] for k in range(n)) / n
     g_bar = sum(w[k] * g_rows[k] for k in range(n)) / n
@@ -23,10 +23,10 @@ def transcription_cov(zi, zj, w, f_bank, g_bank):
 
 
 def test_rff_fixed_vectors():
-    bank = dc.RFFBank(freqs=np.array([0.0]), phases=np.array([np.pi / 2.0]))
+    bank = np.array([[0.0], [np.pi / 2.0]])  # frequencies, then phases
     assert abs(dc.feature_matrix([3.7], bank)[0, 0]) < 1e-12
     phases = np.array([0.0, 1.0, 2.5])
-    bank = dc.RFFBank(freqs=np.ones(3), phases=phases)
+    bank = np.array([np.ones(3), phases])
     assert np.allclose(dc.feature_matrix([0.0], bank)[0],
                        np.sqrt(2.0) * np.cos(phases))
 
@@ -45,7 +45,7 @@ def test_feature_matrix_matches_scalar_map_and_identity():
     mat = dc.feature_matrix(z, bank)
     for row, x in zip(mat, z):
         assert np.allclose(row, dc.feature_matrix([x], bank)[0], atol=1e-14)
-        assert np.allclose(row, np.sqrt(2.0) * np.cos(bank.freqs * x + bank.phases),
+        assert np.allclose(row, np.sqrt(2.0) * np.cos(bank[0] * x + bank[1]),
                            atol=1e-14)
     assert np.array_equal(dc.feature_matrix(z, None), z[:, None])
 
@@ -87,6 +87,7 @@ def test_objective_is_sum_of_pair_norms():
             z[:, i], z[:, j], np.ones(10), banks[i][0], banks[j][1])) ** 2
         for i, j in pairs)
     assert math.isclose(total, by_hand, rel_tol=1e-12)
+    assert dc.decorrelation_objective(z, np.ones(10), banks.tolist(), pairs) == total
 
 
 def test_single_pair_objective_is_squared_frobenius_norm():
@@ -139,7 +140,7 @@ def test_objective_gradient_matches_finite_differences():
 def test_gradient_with_identity_maps_matches_finite_differences():
     rng = np.random.default_rng(31)
     z = rng.standard_normal((10, 3))
-    banks = dc.sample_banks(3, 1, rng, linear=True)
+    banks = None  # identity maps
     pairs = [(0, 1), (0, 2), (1, 2)]
     w = rng.uniform(0.8, 1.2, 10)
     analytic = dc.objective_grad_weights(z, w, banks, pairs)
@@ -168,12 +169,11 @@ def test_sample_pairs_full_enumeration_and_subsets():
 
 
 def _raw_banks(rng, d, q):
-    """sample_banks' stream written out with the generator's own calls: per
-    dimension f's bank, then g's; frequencies before phases."""
-    def bank():
-        return dc.RFFBank(freqs=rng.standard_normal(q),
-                          phases=rng.uniform(0.0, 2.0 * np.pi, size=q))
-    return [(bank(), bank()) for _ in range(d)]
+    """sample_banks' [d × 2 × 2 × q] array written out with the generator's
+    own calls: per dimension f's bank, then g's; frequencies before phases."""
+    return np.array([[[rng.standard_normal(q),
+                       rng.uniform(0.0, 2.0 * np.pi, size=q)]
+                      for _role in range(2)] for _dim in range(d)])
 
 
 def _solve(z, w0, **settings):
@@ -190,7 +190,7 @@ def _reference_optimize(z, w0, free, linear, *, steps, lr_w, l2_lambda, q,
     then the pairs; each step scores them and projects."""
     n, d = z.shape
     rng = np.random.default_rng(seed)
-    banks = dc.sample_banks(d, q, rng, linear=linear)
+    banks = None if linear else dc.sample_banks(d, q, rng)
     pairs = dc.sample_pairs(d, pair_fraction, rng)
 
     def penalized(w):
@@ -237,11 +237,8 @@ def test_optimize_weights_follows_the_public_stream_exactly(q, fraction, linear,
     assert got.objectives == want_history
     # sample_banks draws in the documented order, so the stream is pinned to
     # the generator's calls and not only to this module's own draw helper
-    drawn = dc.sample_banks(6, q, 13)
-    for got_pair, want_pair in zip(drawn, _raw_banks(np.random.default_rng(13), 6, q)):
-        for got_bank, want_bank in zip(got_pair, want_pair):
-            assert np.array_equal(got_bank.freqs, want_bank.freqs)
-            assert np.array_equal(got_bank.phases, want_bank.phases)
+    assert np.array_equal(dc.sample_banks(6, q, 13),
+                          _raw_banks(np.random.default_rng(13), 6, q))
 
 
 def _reference_objective(w, f, g, mask, l2_lambda):
@@ -321,16 +318,28 @@ def test_objective_rejects_invalid_pairs(pair):
         dc.objective_grad_weights(z, np.ones(8), banks, [pair])
 
 
-def test_objective_rejects_mixed_banks():
+def test_objective_rejects_banks_of_another_shape():
     rng = np.random.default_rng(46)
     z = rng.standard_normal((8, 2))
-    narrow, wide = dc.sample_bank(2, rng), dc.sample_bank(3, rng)
-    with pytest.raises(ValueError, match="one width"):
-        dc.decorrelation_objective(z, np.ones(8), [(narrow, narrow), (narrow, wide)],
-                                   [(0, 1)])
-    one = dc.sample_bank(1, rng)
-    with pytest.raises(ValueError, match="identity"):
-        dc.decorrelation_objective(z, np.ones(8), [(None, one), (None, None)], [(0, 1)])
+    for banks in (dc.sample_banks(3, 2, rng),      # drawn for another d
+                  dc.sample_banks(2, 2, rng)[0],   # one dimension's pair
+                  dc.sample_bank(2, rng),          # a single bank
+                  dc.sample_banks(2, 2, rng)[None],  # of another rank
+                  np.empty((2, 2, 2, 0))):         # banks of width 0
+        with pytest.raises(ValueError, match=r"shape \(2, 2, 2, q\), got"):
+            dc.decorrelation_objective(z, np.ones(8), banks, [(0, 1)])
+        with pytest.raises(ValueError, match=r"shape \(2, 2, 2, q\), got"):
+            dc.objective_grad_weights(z, np.ones(8), banks, [(0, 1)])
+
+
+def test_empty_banks_are_refused_before_any_draw():
+    rng = np.random.default_rng(48)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="at least one component"):
+        dc.sample_bank(0, rng)
+    with pytest.raises(ValueError, match="at least one component"):
+        dc.sample_banks(2, 0, rng)
+    assert rng.bit_generator.state == state
 
 
 def test_project_weights_constraints_and_iterated_clamping():

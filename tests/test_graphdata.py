@@ -145,6 +145,15 @@ def test_generation_budget_exhaustion_raises(monkeypatch):
         gd.gen_triangles_dataset(30, 4, 6, rng_seed=0)
 
 
+def test_generation_out_of_memory_raises(monkeypatch):
+    def exhausted(n, p, rng):
+        raise MemoryError(f"cannot allocate {n * (n - 1) // 2} pairs")
+
+    monkeypatch.setattr(gd, "_sample_edges", exhausted)
+    with pytest.raises(gd.GenerationError, match=r"graph 0: .* a 9-node graph"):
+        gd.gen_triangles_dataset(3, 9, 9, rng_seed=0)
+
+
 def test_split_by_size_partitions_and_rejects_degenerate():
     data = gd.gen_triangles_dataset(30, 4, 25, rng_seed=5)
     train, test = gd.split_by_size(data, 14)

@@ -85,7 +85,8 @@ def test_baseline_mode_never_invokes_reweighting(size_split, monkeypatch):
 
     for name in ("weighted_partial_cov", "decorrelation_objective",
                  "objective_grad_weights", "optimize_weights", "hsic_gaussian",
-                 "sample_pairs", "sample_bank"):
+                 "sample_pairs", "sample_bank", "sample_banks",
+                 "feature_matrix"):
         monkeypatch.setattr(dc, name, forbidden)
     _, report = hn.train(train_set, test_set, small_cfg(mode="baseline_uniform"))
     assert report.constraint_checks == 0
