@@ -13,8 +13,12 @@ Each benchmark run is ``python3 perfbench/run.py --workload W --seed S
 two sides alternate which runs first: odd pairs run the parent first. The
 last output line of each run is kept as its result, with the minor page
 faults and peak RSS that ``wait4`` reports for the whole process
-(``process_minflt``, ``process_maxrss_mb``). Those cover set-up and every
-body of a run of fixed length, so a faster side runs more bodies in them.
+(``process_minflt``, ``process_maxrss_mb``) and the number of timed bodies
+it ran (``bodies``, read from the ``N samples of wall_s`` line ``run.py``
+prints; a traced run counts its untraced and traced bodies). The faults
+cover set-up and every body of a run of fixed length, in which a faster
+side runs more bodies, so they are also summarized per body
+(``process_minflt_per_body``).
 
 ``--large-rounds N`` also generates 48 graphs of 2000-3000 nodes with
 ``decorgnn gen`` (once, with the parent) and times a 2-epoch
@@ -33,6 +37,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 import tempfile
@@ -41,7 +46,9 @@ import time
 import numpy as np
 
 BETTER = {"setup_s": "lower", "wall_s": "lower", "train_graphs_per_s": "higher",
-          "peak_rss_mb": "lower"}
+          "peak_rss_mb": "lower", "bodies": "higher"}
+# "<workload>: N samples of wall_s: ..." (traced runs: (un)traced_wall_s)
+SAMPLES = re.compile(r": (\d+) samples of (?:untraced_|traced_)?wall_s:")
 LARGE_GEN = ["gen", "--count", "48", "--min-nodes", "2000",
              "--max-nodes", "3000", "--seed", "0"]
 LARGE_TRAIN = ["split_max_nodes=2500", "epochs=2"]
@@ -65,6 +72,9 @@ def _summary(pairs, names) -> dict:
     for name in names:
         p = [a[name] for a, _ in pairs]
         c = [b[name] for _, b in pairs]
+        if None in p + c:  # a run in which no body succeeded
+            out[name] = None
+            continue
         ratio = (float(np.median(c) / np.median(p)) if np.median(p)
                  else None)
         out[name] = {"parent": _stats(p), "change": _stats(c),
@@ -99,8 +109,12 @@ def _bench(checkout, workload, seed, trace, seconds) -> dict:
          "--seed", str(seed), "--seconds", str(seconds),
          "--trace", str(trace)], checkout)
     result = json.loads(text.splitlines()[-1])
+    bodies = sum(int(n) for n in SAMPLES.findall(text))
     result["process"] = {"process_minflt": usage.ru_minflt,
-                         "process_maxrss_mb": usage.ru_maxrss / 1024}
+                         "process_maxrss_mb": usage.ru_maxrss / 1024,
+                         "bodies": bodies,
+                         "process_minflt_per_body": (
+                             usage.ru_minflt / bodies if bodies else None)}
     return result
 
 

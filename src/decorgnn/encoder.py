@@ -8,6 +8,15 @@ runs on numcore's reverse-mode tape, one node per layer with its own
 backward rule, so one backward call yields every parameter's gradient;
 ``predict`` runs the same forward pass with the tape off.
 
+There is one forward implementation. A no-tape caller may hand it a
+``Workspace``, and every [nodes × width] intermediate, the pooled rows and
+the logits are then written into its buffers, which grow to the largest
+union they serve and live as long as the caller keeps the workspace.
+``harness.evaluate`` keeps one per dataset and thread, freed with the
+dataset, and caps its chunks at ``harness.EVAL_ROWS`` union rows so the
+buffers stay small on large graphs. The taped path passes none, since its
+tape must own fresh arrays.
+
 Batches are encoded as one disjoint union: node features are stacked and
 per-graph sums taken over contiguous node segments, so a batch needs one
 tape, not one per graph. Neighbour sums multiply dense 0/1 adjacency
@@ -222,18 +231,26 @@ class _UnionIndex:
             buckets.append((dst[first], src[first[:, None] + np.arange(k)]))
         return buckets
 
-    def neighbor(self, h: np.ndarray) -> np.ndarray:
-        out = np.empty_like(h)
+    def neighbor(self, h: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+        """Neighbour sums of h's rows, written into ``out`` (C-ordered, h's
+        shape) when it is given."""
+        out = np.empty(h.shape) if out is None else out
         d = h.shape[1]
         for rows, n, adj in self.stacks:
-            out[rows] = (adj @ h[rows].reshape(len(adj), n, d)).reshape(-1, d)
+            stack = (len(adj), n, d)
+            if isinstance(rows, slice):  # the product lands in place
+                np.matmul(adj, h[rows].reshape(stack),
+                          out=out[rows].reshape(stack))
+            else:
+                out[rows] = (adj @ h[rows].reshape(stack)).reshape(-1, d)
         for rows, nbrs in self.buckets:
             out[rows] = h[nbrs].sum(axis=1)
         out[self.idle] = 0.0
         return out
 
-    def pool(self, h: np.ndarray) -> np.ndarray:
-        return np.add.reduceat(h, self.seg_starts, axis=0)
+    def pool(self, h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return np.add.reduceat(h, self.seg_starts, axis=0, out=out)
 
     def unpool(self, g: np.ndarray) -> np.ndarray:
         return np.repeat(g, self.sizes, axis=0)
@@ -247,49 +264,99 @@ def neighbor_sum(h: nc.Tensor, index: _UnionIndex) -> nc.Tensor:
     return nc.op_node(index.neighbor(h.value), [(h, index.neighbor)])
 
 
-def segment_sum(h: nc.Tensor, index: _UnionIndex) -> nc.Tensor:
+class Workspace:
+    """Arrays that no-tape forward passes write into and reuse.
+
+    Each role is one flat float64 buffer. ``take(role, rows, cols)``
+    returns a C-ordered [rows × cols] view of its first rows·cols entries
+    and replaces the buffer only when a request outgrows it, so after one
+    pass over a set of unions every buffer fits the largest of them. What
+    a pass returns is such a view, valid until the next pass that uses the
+    workspace. A workspace serves one thread at a time.
+    """
+
+    def __init__(self):
+        self._flat = {}
+
+    def take(self, role: str, rows: int, cols: int) -> np.ndarray:
+        size = rows * cols
+        flat = self._flat.get(role)
+        if flat is None or flat.size < size:
+            flat = self._flat[role] = np.empty(size)
+        return flat[:size].reshape(rows, cols)
+
+
+def _take(work: Workspace | None, role: str, rows: int, cols: int):
+    """The workspace's array for ``role``, or None for a fresh result."""
+    return None if work is None else work.take(role, rows, cols)
+
+
+def segment_sum(h: nc.Tensor, index: _UnionIndex,
+                work: Workspace | None = None) -> nc.Tensor:
     """Tape op: per-graph sums of node states, one row per graph."""
     if h.rows != index.num_nodes:
         raise nc.DimensionError(
             f"state rows {h.rows} != union nodes {index.num_nodes}")
-    return nc.op_node(index.pool(h.value), [(h, index.unpool)])
+    pooled = _take(work, "pooled", len(index.sizes), h.cols)
+    return nc.op_node(index.pool(h.value, pooled), [(h, index.unpool)])
 
 
-def gin_layer_forward(layer: GINLayer, h: nc.Tensor,
-                      index: _UnionIndex) -> nc.Tensor:
+def gin_layer_forward(layer: GINLayer, h: nc.Tensor, index: _UnionIndex,
+                      work: Workspace | None = None) -> nc.Tensor:
     """One GIN layer, MLP((1 + eps)·h + neighbour sums), as one tape node.
 
     Sums run in the order of the equivalent chain of elementwise and matrix
     ops, so values and gradients match it bit for bit. The pre-activation
-    is checked for non-finite entries before the ReLU can hide one.
+    is checked for non-finite entries before the ReLU can hide one. With a
+    workspace, which only a no-tape pass may pass, every [nodes × width]
+    array is one of its buffers; the result overwrites the "state" buffer,
+    so h may be the previous layer's result. The ReLU mask is made from
+    the activation by the backward rule, so a no-tape pass never makes it.
     """
     hv, e = h.value, layer.eps.value[0, 0]
     w1, w2 = layer.w1.value, layer.w2.value
-    combined = (hv + e * hv) + index.neighbor(hv)
-    z = combined @ w1
+    rows, width = hv.shape
+    # (hv + e·hv) + neighbour sums, each sum in place
+    combined = np.multiply(e, hv, out=_take(work, "combined", rows, width))
+    combined += hv
+    combined += index.neighbor(hv, _take(work, "scratch", rows, width))
+    z = np.matmul(combined, w1, out=_take(work, "scratch", rows, w1.shape[1]))
     z += layer.b1.value
-    mask = nc.check_finite(z) > 0.0
-    r = np.maximum(z, 0.0, out=z)  # np.where(mask, z, 0.0), branch-free;
+    nc.check_finite(z)
+    r = np.maximum(z, 0.0, out=z)  # np.where(z > 0, z, 0.0), branch-free;
     r += 0.0                       # adding +0.0 turns any -0.0 into +0.0
-    out = r @ w2
+    out = np.matmul(r, w2, out=_take(work, "state", rows, w2.shape[1]))
     out += layer.b2.value
     memo = {}
 
-    def chain(g):  # gradients at z and at combined, once per pass
+    def chain(g):  # every gradient but w2's and b2's, once per pass
         if memo.get("g") is not g:
-            gz = (g @ w2.T) * mask
-            memo.update(g=g, gz=gz, gc=gz @ w1.T)
-        return memo["gz"], memo["gc"]
+            gz = g @ w2.T  # the gradient at z
+            gz *= r > 0.0  # the ReLU mask: r > 0 exactly where z > 0
+            gc = gz @ w1.T  # the gradient at combined
+            memo.update(g=g, gc=gc, w1=combined.T @ gz,
+                        b1=gz.sum(axis=0, keepdims=True))
+            del gz  # freed before the eps product makes a temporary
+            memo["eps"] = np.array([[np.sum(gc * hv)]])
+        return memo
+
+    def grad_h(g):  # (neighbour sums of gc + gc) + e·gc
+        gc = chain(g).pop("gc")  # its last use, so it is scaled in place
+        gh = index.neighbor(gc)
+        gh += gc
+        gc *= e
+        gh += gc
+        return gh
 
     def grad_b2(g):
         memo.clear()  # b2 is served last, so the pass is done with the chain
         return g.sum(axis=0, keepdims=True)
 
     return nc.op_node(out, [
-        (h, lambda g: (index.neighbor(gc := chain(g)[1]) + gc) + e * gc),
-        (layer.eps, lambda g: np.array([[np.sum(chain(g)[1] * hv)]])),
-        (layer.w1, lambda g: combined.T @ chain(g)[0]),
-        (layer.b1, lambda g: chain(g)[0].sum(axis=0, keepdims=True)),
+        (h, grad_h),
+        (layer.eps, lambda g: chain(g)["eps"]),
+        (layer.w1, lambda g: chain(g)["w1"]),
+        (layer.b1, lambda g: chain(g)["b1"]),
         (layer.w2, lambda g: r.T @ g), (layer.b2, grad_b2),
     ])
 
@@ -303,21 +370,30 @@ def encode_batch(enc: EncoderParams, graphs) -> nc.Tensor:
 
 
 def _encode_union(enc: EncoderParams, index: _UnionIndex,
-                  features: np.ndarray) -> nc.Tensor:
-    """``encode_batch`` on a union already indexed, its features stacked."""
+                  features: np.ndarray,
+                  work: Workspace | None = None) -> nc.Tensor:
+    """``encode_batch`` on a union already indexed, its features stacked.
+
+    A no-tape caller may pass a workspace for every intermediate and the
+    result; see ``gin_layer_forward``.
+    """
     if features.shape[1] != enc.input_dim:
         raise nc.DimensionError(
             f"feature width {features.shape[1]} != encoder input "
             f"{enc.input_dim}")
     h = nc.constant(features)
     for layer in enc.layers:
-        h = gin_layer_forward(layer, h, index)
-    return segment_sum(h, index)
+        h = gin_layer_forward(layer, h, index, work)
+    return segment_sum(h, index, work)
 
 
-def classify(clf: ClassifierParams, z: nc.Tensor) -> nc.Tensor:
-    """Class logits for a batch of representations."""
-    return nc.add_bias(nc.matmul(z, clf.w), clf.b)
+def classify(clf: ClassifierParams, z: nc.Tensor,
+             work: Workspace | None = None) -> nc.Tensor:
+    """Class logits for a batch of representations, in the workspace's
+    "logits" buffer when a no-tape caller passes one."""
+    logits = nc.matmul(z, clf.w, out=_take(work, "logits", z.rows, clf.w.cols))
+    return nc.add_bias(logits, clf.b,
+                       out=None if work is None else logits.value)
 
 
 def predict(model: Model, graphs) -> np.ndarray:
@@ -334,12 +410,14 @@ def predict(model: Model, graphs) -> np.ndarray:
         np.concatenate([g.features for g in graphs], axis=0))
 
 
-def _predict_union(model: Model, index: _UnionIndex,
-                   features: np.ndarray) -> np.ndarray:
-    """``predict`` on a union already indexed, its features stacked."""
+def _predict_union(model: Model, index: _UnionIndex, features: np.ndarray,
+                   work: Workspace | None = None) -> np.ndarray:
+    """``predict`` on a union already indexed, its features stacked, with
+    every intermediate in ``work`` when it is given."""
     with nc.no_tape():
         logits = classify(model.classifier,
-                          _encode_union(model.encoder, index, features))
+                          _encode_union(model.encoder, index, features, work),
+                          work)
     return np.argmax(logits.value, axis=1)
 
 

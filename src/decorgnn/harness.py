@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
 import time
 import weakref
 from dataclasses import dataclass
@@ -42,6 +43,8 @@ ALLOWED_LRS = (1e-4, 1e-3)
 PROBE_EPOCHS = 12
 PROBE_HOLDOUT = 0.1
 EVAL_CHUNK = 64
+# union rows per evaluation chunk, so its buffers stay small on large graphs
+EVAL_ROWS = 2048
 VOLATILE_FIELDS = ("wall_seconds", "timestamp")
 # summary fields `decorgnn report` prints; load_results checks them
 _CONFIG_FIELDS = ("mode", "seed", "lr")
@@ -176,25 +179,51 @@ def init_model(cfg: TrainConfig, feature_dim: int, num_classes: int) -> enc.Mode
     )
 
 
-# Dataset -> {chunk size: _eval_chunks list}; an entry lives as long as its
-# dataset, which hashes by identity
+class _EvalMemo:
+    """What ``evaluate`` keeps for one dataset: its chunks per chunk size,
+    and one forward-pass workspace per thread."""
+
+    def __init__(self):
+        self.chunks = {}
+        self._local = threading.local()
+
+    def workspace(self) -> enc.Workspace:
+        work = getattr(self._local, "work", None)
+        if work is None:
+            work = self._local.work = enc.Workspace()
+        return work
+
+
+# Dataset -> _EvalMemo; an entry lives as long as its dataset, which hashes
+# by identity
 _EVAL_CHUNKS = weakref.WeakKeyDictionary()
 
 
 def _eval_chunks(dataset: Dataset, chunk: int) -> list:
-    """(union index, stacked features, labels) per chunk, built once."""
-    by_chunk = _EVAL_CHUNKS.setdefault(dataset, {})
-    if chunk not in by_chunk:
+    """(union index, stacked features, labels) per chunk, built once.
+
+    A chunk holds at most ``chunk`` graphs and ``EVAL_ROWS`` union rows;
+    a graph with more nodes than that sits in a chunk alone.
+    """
+    memo = _EVAL_CHUNKS.setdefault(dataset, _EvalMemo())
+    if chunk not in memo.chunks:
         graphs = sorted(dataset.graphs, key=lambda g: g.num_nodes)
+        starts, rows = [], 0
+        for i, g in enumerate(graphs):
+            if (not starts or i - starts[-1] == chunk
+                    or rows + g.num_nodes > EVAL_ROWS):
+                starts.append(i)
+                rows = 0
+            rows += g.num_nodes
         parts = []
-        for start in range(0, len(graphs), chunk):
-            part = graphs[start:start + chunk]
+        for start, stop in zip(starts, starts[1:] + [len(graphs)]):
+            part = graphs[start:stop]
             features = np.concatenate([g.features for g in part], axis=0)
             features.setflags(write=False)
             parts.append((enc._UnionIndex(part), features,
                           np.array([g.label for g in part])))
-        by_chunk[chunk] = parts
-    return by_chunk[chunk]
+        memo.chunks.setdefault(chunk, parts)
+    return memo.chunks[chunk]
 
 
 def evaluate(model: enc.Model, dataset: Dataset,
@@ -203,16 +232,26 @@ def evaluate(model: enc.Model, dataset: Dataset,
 
     The graphs are taken in node-count order (a stable sort), so graphs of
     one size share a chunk and each size's adjacency stack is one
-    contiguous row range. Accuracy is a count of hits, so the order moves
-    no result. Each chunk's union index, stacked features and labels are
-    built on the first call for a (dataset, chunk) pair and kept until the
-    dataset is garbage-collected; later calls, such as the per-epoch
-    scoring in ``train``, run only the forward pass. A dataset's graphs
-    are therefore treated as immutable once it has been evaluated.
+    contiguous row range. A chunk also holds at most ``EVAL_ROWS`` union
+    rows, and a larger graph is encoded alone. Accuracy is a count of hits,
+    so the order moves no result. Each chunk's union index, stacked
+    features and labels are built on the first call for a (dataset, chunk)
+    pair and kept until the dataset is garbage-collected; later calls, such
+    as the per-epoch scoring in ``train``, run only the forward pass. A
+    dataset's graphs are therefore treated as immutable once it has been
+    evaluated.
+
+    The forward pass runs without a tape, into buffers that the dataset's
+    memo entry keeps for the calling thread. They grow to the largest chunk
+    on the first call and are freed with the dataset (or with the thread),
+    so a later call allocates nothing of chunk size, and threads that
+    evaluate one dataset at once never share them.
     """
+    parts = _eval_chunks(dataset, chunk)
+    work = _EVAL_CHUNKS[dataset].workspace()
     hits = 0
-    for index, features, labels in _eval_chunks(dataset, chunk):
-        pred = enc._predict_union(model, index, features)
+    for index, features, labels in parts:
+        pred = enc._predict_union(model, index, features, work)
         hits += int(np.sum(pred == labels))
     return hits / len(dataset.graphs)
 

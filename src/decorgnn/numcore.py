@@ -120,13 +120,13 @@ def op_node(value: np.ndarray, inputs: Sequence[tuple[Tensor, Callable]]) -> Ten
                   _grad_fns=tuple(f for _, f in inputs))
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product a @ b."""
+def matmul(a: Tensor, b: Tensor, out: np.ndarray | None = None) -> Tensor:
+    """Matrix product a @ b, written into ``out`` when it is given."""
     if a.cols != b.rows:
         raise DimensionError(
             f"cannot multiply shapes {a.shape} and {b.shape}")
     av, bv = a.value, b.value
-    return op_node(av @ bv, [
+    return op_node(np.matmul(av, bv, out=out), [
         (a, lambda g: g @ bv.T),
         (b, lambda g: av.T @ g),
     ])
@@ -142,12 +142,16 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     ])
 
 
-def add_bias(x: Tensor, bias: Tensor) -> Tensor:
-    """Add a 1×C bias row to every row of x. The only broadcast supported."""
+def add_bias(x: Tensor, bias: Tensor,
+             out: np.ndarray | None = None) -> Tensor:
+    """Add a 1×C bias row to every row of x. The only broadcast supported.
+
+    The sum is written into ``out`` when it is given, which may be x's value.
+    """
     if bias.rows != 1 or bias.cols != x.cols:
         raise DimensionError(
             f"bias shape {bias.shape} does not broadcast over {x.shape}")
-    return op_node(x.value + bias.value, [
+    return op_node(np.add(x.value, bias.value, out=out), [
         (x, lambda g: g),
         (bias, lambda g: g.sum(axis=0, keepdims=True)),
     ])
@@ -336,7 +340,17 @@ def zeros_param(rows: int, cols: int) -> Tensor:
 
 
 class Adam:
-    """Adaptive moment estimation over parameter tensors, as flat buffers."""
+    """Adaptive moment estimation over parameter tensors, as flat buffers.
+
+    The optimizer owns one flat buffer of parameter values, the moments m
+    and v, one gradient buffer and one scratch buffer, all alive as long as
+    it is. On construction each parameter's ``value`` becomes a view of the
+    value buffer, so a write into a value in place reaches the buffer, and
+    ``step`` updates m, v and the values in place without allocating
+    anything of parameter size. A caller that rebinds a value instead (such
+    as ``load_checkpoint`` or a test) keeps working: the next step copies
+    the new array in and makes the view the value again.
+    """
 
     def __init__(self, params: Sequence[Tensor], lr: float,
                  betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
@@ -346,8 +360,15 @@ class Adam:
         self.eps = eps
         self.t = 0
         sizes = [p.value.size for p in self.params]
-        self._splits = np.cumsum(sizes)[:-1]
-        self._m, self._v = np.zeros((2, sum(sizes)))
+        bounds = np.concatenate(([0], np.cumsum(sizes, dtype=np.intp)))
+        (self._value, self._grad, self._m, self._v,
+         self._scratch) = np.zeros((5, int(bounds[-1])))
+        self._views = []
+        for p, lo, hi in zip(self.params, bounds[:-1], bounds[1:]):
+            view = self._value[lo:hi].reshape(p.shape)
+            view[...] = p.value
+            p.value = view
+            self._views.append((view, self._grad[lo:hi].reshape(p.shape)))
 
     def step(self) -> None:
         """One update from each parameter's gradient and current value."""
@@ -355,13 +376,32 @@ class Adam:
         b1, b2 = self.beta1, self.beta2
         bias1 = 1.0 - b1 ** self.t
         bias2 = 1.0 - b2 ** self.t
-        g = np.concatenate([np.zeros(p.value.size) if p.grad is None
-                            else p.grad.ravel() for p in self.params])
-        value = np.concatenate([p.value.ravel() for p in self.params])
+        for p, (value, grad) in zip(self.params, self._views):
+            if p.value is not value:  # rebound by the caller: copy it in
+                if p.value.shape != value.shape:
+                    raise DimensionError(
+                        f"parameter rebound to shape {p.value.shape}, "
+                        f"expected {value.shape}")
+                value[...] = p.value
+                p.value = value
+            if p.grad is None:
+                grad.fill(0.0)
+            else:
+                grad[...] = p.grad
+        # the sums, products and quotients of
+        # m = b1·m + (1 - b1)·g, v = b2·v + (1 - b2)·g² and
+        # value -= lr·(m / bias1) / (sqrt(v / bias2) + eps), in that order
+        g, s = self._grad, self._scratch
         self._m *= b1
-        self._m += (1.0 - b1) * g
+        self._m += np.multiply(g, 1.0 - b1, out=s)
         self._v *= b2
-        self._v += (1.0 - b2) * np.square(g)
-        value -= self.lr * (self._m / bias1) / (np.sqrt(self._v / bias2) + self.eps)
-        for p, new in zip(self.params, np.split(value, self._splits)):
-            p.value = new.reshape(p.value.shape)
+        np.square(g, out=s)
+        s *= 1.0 - b2
+        self._v += s
+        np.divide(self._m, bias1, out=g)  # g now holds the step
+        g *= self.lr
+        np.divide(self._v, bias2, out=s)
+        np.sqrt(s, out=s)
+        s += self.eps
+        g /= s
+        self._value -= g

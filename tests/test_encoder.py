@@ -199,8 +199,9 @@ def test_neighbor_sum_gradient_on_a_mixed_union():
     assert nc.grad_check(f, h0) < 1e-6
 
 
-def unfused_layer(layer, h, index):
+def unfused_layer(layer, h, index, work=None):
     """The layer as a chain of elementwise and matrix ops, each its own node."""
+    assert work is None  # the taped path passes no workspace
     combined = nc.add(nc.add(h, nc.smul(layer.eps, h)),
                       enc_mod.neighbor_sum(h, index))
     z = nc.relu(nc.add_bias(nc.matmul(combined, layer.w1), layer.b1))
@@ -239,6 +240,30 @@ def test_fused_layer_matches_the_op_chain_bit_for_bit(monkeypatch):
     for once, twice in zip(fused_once, fused_twice):
         assert np.array_equal(twice, once + once)
     assert any(not np.array_equal(g, 0.0) for g in fused_once[:5])
+
+
+def test_a_workspace_forward_matches_the_fresh_one_bit_for_bit():
+    model = make_model(8, 6, 3, 4, seed=14)
+    shuffled = mixed_union(seed=31)
+    unions = [shuffled, sorted(shuffled, key=lambda g: g.num_nodes),
+              sample_graphs(3, seed=32)]
+    work = enc_mod.Workspace()
+    for _ in range(2):  # the second round reuses every buffer
+        for graphs in unions:
+            index = enc_mod._UnionIndex(graphs)
+            features = np.concatenate([g.features for g in graphs])
+            with nc.no_tape():
+                fresh = enc_mod._encode_union(model.encoder, index, features)
+                fresh_logits = enc_mod.classify(model.classifier, fresh).value
+                reused = enc_mod._encode_union(model.encoder, index, features,
+                                               work)
+                assert np.array_equal(reused.value, fresh.value)
+                assert np.array_equal(
+                    enc_mod.classify(model.classifier, reused, work).value,
+                    fresh_logits)
+            assert np.array_equal(
+                enc_mod._predict_union(model, index, features, work),
+                enc_mod.predict(model, graphs))
 
 
 def test_fused_layer_raises_on_a_pre_activation_the_relu_would_hide():
@@ -461,8 +486,8 @@ def test_predict_matches_the_taped_forward_and_keeps_no_tape(monkeypatch):
     seen = []
     classify = enc_mod.classify
 
-    def recording(clf, z):
-        seen.append((z, classify(clf, z)))
+    def recording(clf, z, work=None):
+        seen.append((z, classify(clf, z, work)))
         return seen[-1][1]
 
     monkeypatch.setattr(enc_mod, "classify", recording)

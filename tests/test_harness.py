@@ -2,6 +2,9 @@ import gc
 import json
 import os
 import stat
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -305,6 +308,82 @@ def test_a_second_evaluate_builds_no_union_index(monkeypatch):
     del dataset
     gc.collect()
     assert len(hn._EVAL_CHUNKS) == held - 1
+
+
+def test_a_warmed_evaluate_allocates_less_than_one_chunk_block(size_split):
+    _, test_set = size_split
+    hidden = 64
+    model = hn.init_model(small_cfg(hidden_dim=hidden), test_set.feature_dim,
+                          test_set.num_classes)
+    want = hn.evaluate(model, test_set)  # builds the chunks and the buffers
+    rows = max(len(features)
+               for _, features, _ in hn._eval_chunks(test_set, hn.EVAL_CHUNK))
+    tracemalloc.start()
+    try:
+        got = hn.evaluate(model, test_set)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < rows * hidden * 8
+
+
+def test_concurrent_and_interleaved_evaluations_match_sequential_ones():
+    models = [random_model(5, seed=s) for s in (4, 5)]
+    # sequential accuracies, each on a fresh copy of the dataset
+    want = [hn.evaluate(m, mixed_size_dataset(seed=10)) for m in models]
+    assert want[0] != want[1]
+    shared = mixed_size_dataset(seed=10)
+    # more threads than cores, switching often, two per model
+    runs = [0, 1, 0, 1]
+    barrier = threading.Barrier(len(runs))
+    got = [[] for _ in runs]
+
+    def run(i):
+        barrier.wait(timeout=60)
+        for _ in range(20):
+            got[i].append(hn.evaluate(models[runs[i]], shared))
+
+    threads = [threading.Thread(target=run, args=(i,))
+               for i in range(len(runs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[want[m]] * 20 for m in runs]
+
+    # two datasets, evaluated in turn on one thread
+    other_want = hn.evaluate(models[1], mixed_size_dataset(seed=11))
+    other = mixed_size_dataset(seed=11)
+    for _ in range(3):
+        assert hn.evaluate(models[0], shared) == want[0]
+        assert hn.evaluate(models[1], other) == other_want
+
+
+def test_a_graph_above_the_row_cap_is_evaluated_alone():
+    rng = np.random.default_rng(12)
+    n = hn.EVAL_ROWS + 1
+    ring = Graph(n, tuple((i, i + 1) for i in range(n - 1)) + ((0, n - 1),),
+                 rng.normal(size=(n, 5)), 2)
+    small = mixed_size_dataset(seed=12).graphs[:30]
+    dataset = Dataset(small + [ring], num_classes=10, feature_dim=5)
+    model = random_model(5)
+    parts = hn._eval_chunks(dataset, hn.EVAL_CHUNK)
+    assert len(parts) == 2
+    assert len(parts[0][1]) <= hn.EVAL_ROWS
+    index, features, labels = parts[1]
+    assert len(labels) == 1 and len(features) == n
+    alone = enc.predict(model, [ring])
+    assert np.array_equal(enc._predict_union(model, index, features), alone)
+    pred = np.concatenate([enc.predict(model, [g]) for g in dataset.graphs])
+    want = np.mean(pred == [g.label for g in dataset.graphs])
+    assert hn.evaluate(model, dataset) == want
 
 
 def test_divergence_error_names_epoch_and_batch(size_split, monkeypatch):

@@ -1,5 +1,6 @@
 import contextlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -302,6 +303,11 @@ def test_flat_adam_matches_a_per_parameter_update_bit_for_bit():
         for i, p in enumerate(params):
             # the (1, 5) parameter never gets a gradient
             p.grad = None if i == 2 else rng.standard_normal(p.shape)
+        if t == 2:
+            # a caller writes into a value in place, as a test planting a
+            # NaN does
+            params[3].value[4, 1] = 2.5
+            want[3][4, 1] = 2.5
         if t == 3:
             # a caller rebinds a value between steps, as load_checkpoint does
             params[0].value = rng.standard_normal(shapes[0])
@@ -316,6 +322,32 @@ def test_flat_adam_matches_a_per_parameter_update_bit_for_bit():
         for p, w in zip(params, want):
             assert p.value.shape == w.shape
             assert np.array_equal(p.value, w)
+
+
+def test_adam_refuses_a_value_rebound_to_another_shape():
+    w = nc.Tensor(np.ones((2, 3)))
+    opt = nc.Adam([w], lr=1e-3)
+    w.value = np.ones((3, 2))
+    with pytest.raises(nc.DimensionError):
+        opt.step()
+
+
+def test_a_warmed_adam_step_allocates_less_than_its_parameters():
+    rng = np.random.default_rng(19)
+    params = [nc.Tensor(rng.standard_normal(s))
+              for s in [(64, 64), (1, 64), (64, 64), (1, 1), (64, 10)]]
+    opt = nc.Adam(params, lr=1e-3)
+    for p in params:
+        p.grad = rng.standard_normal(p.shape)
+    opt.step()  # warm
+    flat_bytes = sum(p.value.nbytes for p in params)
+    tracemalloc.start()
+    try:
+        opt.step()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < flat_bytes
 
 
 def test_glorot_uniform_bounds_and_determinism():
