@@ -20,11 +20,14 @@ cover set-up and every body of a run of fixed length, in which a faster
 side runs more bodies, so they are also summarized per body
 (``process_minflt_per_body``).
 
-``--large-rounds N`` also generates 48 graphs of 2000-3000 nodes with
-``decorgnn gen`` (once, with the parent) and times a 2-epoch
-``decorgnn train`` on them with each checkout, N alternating rounds. Wall
-time and the peak RSS that ``wait4`` reports for the train process are
-recorded, with its standard output so the accuracies can be compared.
+``--large-rounds N`` also runs N alternating rounds of a large-graph CLI
+job. In each round each checkout generates 48 graphs of 2000-3000 nodes
+with ``decorgnn gen`` into its own file, then times a 2-epoch ``decorgnn
+train`` on that file. Wall time and the peak RSS that ``wait4`` reports
+are recorded for both processes (``gen_wall_s``, ``gen_peak_rss_mb``;
+``wall_s``, ``peak_rss_mb`` for train), with the train output so the
+accuracies can be compared, and each round records whether the two
+generated files are byte-identical (``gen_files_identical``).
 
 The output JSON holds every run in the order it was made, and per workload
 and metric the median and quartiles of each side, the share of pairs the
@@ -34,6 +37,7 @@ change won, and the median ratio change/parent.
 from __future__ import annotations
 
 import argparse
+import filecmp
 import json
 import os
 import platform
@@ -180,29 +184,40 @@ def main(argv=None) -> int:
 
     if args.large_rounds:
         with tempfile.TemporaryDirectory() as tmp:
-            data = os.path.join(tmp, "large.jsonl")
-            _cli(sides["parent"], [*LARGE_GEN, "--out", data])
-            rounds = []
+            rounds, identical = [], []
             for rnd in range(1, args.large_rounds + 1):
                 first = ("parent", "change") if rnd % 2 else ("change",
                                                               "parent")
-                got = {}
+                got, data = {}, {}
                 for side in first:
+                    data[side] = os.path.join(tmp, f"{side}_large.jsonl")
+                    gen_wall, gen_rss, _ = _cli(
+                        sides[side], [*LARGE_GEN, "--out", data[side]])
                     wall, rss, text = _cli(sides[side], [
-                        "train", "--data", data, "--results",
+                        "train", "--data", data[side], "--results",
                         os.path.join(tmp, f"{side}.jsonl"), *LARGE_TRAIN])
-                    got[side] = {"wall_s": wall, "peak_rss_mb": rss}
+                    got[side] = {"gen_wall_s": gen_wall,
+                                 "gen_peak_rss_mb": gen_rss,
+                                 "wall_s": wall, "peak_rss_mb": rss}
                     runs.append({"side": side, "round": rnd,
-                                 "workload": "large_cli", "wall_s": wall,
-                                 "peak_rss_mb": rss, "stdout": text})
-                    print(f"large round {rnd} {side}: {wall:.2f} s "
+                                 "workload": "large_cli", **got[side],
+                                 "stdout": text})
+                    print(f"large round {rnd} {side}: gen {gen_wall:.2f} s "
+                          f"{gen_rss:.0f} MiB, train {wall:.2f} s "
                           f"{rss:.0f} MiB", file=sys.stderr)
+                identical.append(filecmp.cmp(data["parent"], data["change"],
+                                             shallow=False))
+                runs.append({"round": rnd, "workload": "large_cli",
+                             "gen_files_identical": identical[-1]})
                 rounds.append((got["parent"], got["change"]))
             result["summary"]["large_cli"] = {
-                "commands": ["decorgnn " + " ".join(LARGE_GEN),
+                "commands": ["decorgnn " + " ".join(LARGE_GEN)
+                             + " --out large.jsonl",
                              "decorgnn train --data large.jsonl "
                              + " ".join(LARGE_TRAIN)],
-                **_summary(rounds, ["wall_s", "peak_rss_mb"])}
+                "gen_files_identical": all(identical),
+                **_summary(rounds, ["gen_wall_s", "gen_peak_rss_mb",
+                                    "wall_s", "peak_rss_mb"])}
 
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1)

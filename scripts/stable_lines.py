@@ -22,6 +22,14 @@ Each section starts with a ``# name`` line. Results files are written as
 ``harness.stable_lines`` gives them, which drops the wall-clock fields;
 summaries and the checkpoint are copied verbatim. A full run takes about
 5 s on two cores.
+
+The first line is ``# blas_threads N``: the thread count of numpy's
+OpenBLAS, read as ``perfbench/run.py`` reads it (``None`` when there is no
+OpenBLAS). A BLAS call may sum in another order under another thread
+count, and the ``q=3`` case's objectives do move in their last digits. So
+compare two outputs made under one setting (for example
+``OPENBLAS_NUM_THREADS=1`` for both); a ``cmp`` across settings fails on
+line 1, which says why.
 """
 
 from __future__ import annotations
@@ -45,13 +53,22 @@ def _noise_split(gd, count: int, seed: int):
                                              noise_sigma=0.1, seed=seed))
 
 
+def blas_threads():
+    """OpenBLAS's thread count, read by ``perfbench/run.py``'s own reader."""
+    import numpy
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                    os.pardir, "perfbench"))
+    import run  # importing the runner starts no benchmark
+    return run._blas_threads(numpy)
+
+
 def collect(work: str) -> list[str]:
     """Run every case in ``work`` and return the output lines."""
     from decorgnn import cli
     from decorgnn import graphdata as gd
     from decorgnn import harness as hn
 
-    lines = []
+    lines = [f"# blas_threads {blas_threads()}"]
     for name in sorted(hn.EXPERIMENTS):
         out_dir = os.path.join(work, name)
         hn.run_experiment(name, seeds=SEEDS, out_dir=out_dir, count=COUNT,

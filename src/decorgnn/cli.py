@@ -1,8 +1,9 @@
 """Command line entry points: gen, train, experiment, report.
 
 Exit codes: 0 success, 1 usage problems (bad flags, unknown keys, config
-or split values out of range), 2 data problems (missing or corrupt files,
-impossible generation requests), 3 numeric divergence during training.
+or split values out of range, a split_sigma whose noise overflows), 2 data
+problems (missing or corrupt files, impossible generation requests),
+3 numeric divergence during training.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ from . import harness as hn
 from .decorrelation import OptimizationError
 from .encoder import DivergenceError
 from .fileio import DataFormatError
-from .graphdata import (DatasetError, GenerationError, SplitSpec, apply_split,
-                        gen_triangles_dataset, load_dataset, save_dataset)
+from .graphdata import (DatasetError, GenerationError, NoiseOverflowError,
+                        SplitSpec, apply_split, gen_triangles_dataset,
+                        load_dataset, save_dataset)
 
 
 class UsageError(Exception):
@@ -99,7 +101,10 @@ def _cmd_train(args) -> int:
     except ValueError as err:
         raise UsageError(str(err)) from err
     dataset = load_dataset(args.data)
-    train_set, test_set = apply_split(dataset, spec)
+    try:
+        train_set, test_set = apply_split(dataset, spec)
+    except NoiseOverflowError as err:  # the config value's fault, not the file's
+        raise UsageError(f"split_sigma: {err}") from err
     model, report = hn.train(train_set, test_set, cfg)
     hn.write_results(args.results, report)
     if args.checkpoint:

@@ -2,8 +2,10 @@
 
 Graphs are undirected and unweighted, stored as canonical (u < v) edge lists
 with per-node feature rows. The generator builds a 10-class triangle-counting
-task by rejection sampling random graphs; shift constructors split by graph
-size or perturb test features, leaving structure untouched.
+task by rejection sampling random graphs. Each candidate is drawn, counted
+and featurised on endpoint arrays, and only an accepted one becomes a
+``Graph``. Shift constructors split by graph size or perturb test features,
+leaving structure untouched.
 """
 
 from __future__ import annotations
@@ -32,6 +34,10 @@ class GenerationError(RuntimeError):
 
 class DatasetError(ValueError):
     """A dataset violates a structural requirement."""
+
+
+class NoiseOverflowError(DatasetError):
+    """A feature-noise draw sigma·N(0, 1) is not finite: sigma is too large."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,14 +136,28 @@ def gen_random_graph(num_nodes: int, edge_prob: float, rng_seed) -> Graph:
     if not 0.0 <= edge_prob <= 1.0:
         raise DatasetError(f"edge_prob must be in [0, 1], got {edge_prob}")
     rng = np.random.default_rng(rng_seed)
-    edges = _sample_edges(num_nodes, edge_prob, rng)
-    return Graph(num_nodes, edges, np.zeros((num_nodes, 1)), 0)
+    u, v = _sample_edges(num_nodes, edge_prob, rng)
+    return Graph(num_nodes, tuple(zip(u.tolist(), v.tolist())),
+                 np.zeros((num_nodes, 1)), 0)
 
 
-def _sample_edges(n: int, p: float, rng: np.random.Generator) -> tuple:
-    iu, iv = np.triu_indices(n, k=1)
-    keep = rng.random(iu.shape[0]) < p
-    return tuple(zip(iu[keep].tolist(), iv[keep].tolist()))
+def _sample_edges(n: int, p: float,
+                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Keep each of the n(n−1)/2 node pairs with probability ``p``.
+
+    One ``rng.random(n(n−1)/2)`` call decides every pair, in the row-major
+    order of ``np.triu_indices(n, k=1)``. The kept flat indices become
+    ``(u, v)`` endpoint arrays by arithmetic: row u starts at flat offset
+    u(2n−u−1)/2, so ``searchsorted`` on the n row starts finds each row.
+    The pairs come out canonical (u < v) and sorted, and nothing of size
+    n(n−1)/2 is built besides the draw itself and its mask.
+    """
+    keep = (rng.random(n * (n - 1) // 2) < p).nonzero()[0]
+    rows = np.arange(n)
+    starts = rows * (2 * n - rows - 1) // 2
+    u = starts.searchsorted(keep, side="right") - 1
+    v = keep - starts[u] + u + 1
+    return u, v
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
@@ -147,22 +167,44 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
     return adj
 
 
+def _triangles(n: int, u: np.ndarray, v: np.ndarray) -> int:
+    """Triangles of the n-node graph with canonical edges (u[k], v[k]).
+
+    Each edge's endpoint rows of a boolean adjacency are ANDed; a triangle
+    shows once per edge, hence the division by three. The edges go in
+    blocks of n, so besides the n×n adjacency each block holds at most two
+    n×n boolean arrays.
+    """
+    if u.size < 3:
+        return 0
+    adj = np.zeros((n, n), dtype=bool)
+    adj[u, v] = True
+    adj[v, u] = True
+    closed = 0
+    for start in range(0, u.size, n):
+        common = adj.take(u[start:start + n], axis=0)
+        common &= adj.take(v[start:start + n], axis=0)
+        closed += int(np.count_nonzero(common))
+    return closed // 3
+
+
+def _degree_features(n: int, u: np.ndarray, v: np.ndarray,
+                     max_degree: int) -> np.ndarray:
+    degrees = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
+    features = np.zeros((n, max_degree + 1))
+    features[np.arange(n), np.minimum(degrees, max_degree)] = 1.0
+    return features
+
+
 def count_triangles(g: Graph) -> int:
     """Exact number of node triples with all three connecting edges.
 
-    Enumerates closed triples edge by edge: each triangle is seen once per
-    edge, hence the division by three.
+    Counts on the graph's edge array as the generator does. It needs the
+    n×n boolean adjacency plus at most two more n×n boolean blocks, about
+    3n² bytes, whatever the edge count.
     """
-    if len(g.edges) < 3:
-        return 0
-    adj = np.zeros((g.num_nodes, g.num_nodes), dtype=bool)
-    arr = np.asarray(g.edges)
-    adj[arr[:, 0], arr[:, 1]] = True
-    adj[arr[:, 1], arr[:, 0]] = True
-    closed = 0
-    for u, v in g.edges:
-        closed += int(np.count_nonzero(adj[u] & adj[v]))
-    return closed // 3
+    edges = g.edge_array
+    return _triangles(g.num_nodes, edges[:, 0], edges[:, 1])
 
 
 def one_hot_degree_features(g: Graph, max_degree: int = DEGREE_CAP) -> Graph:
@@ -171,14 +213,9 @@ def one_hot_degree_features(g: Graph, max_degree: int = DEGREE_CAP) -> Graph:
     Degrees above ``max_degree`` share the top bucket, so the width is
     max_degree + 1 regardless of graph size.
     """
-    degrees = np.zeros(g.num_nodes, dtype=np.int64)
-    for u, v in g.edges:
-        degrees[u] += 1
-        degrees[v] += 1
-    clamped = np.minimum(degrees, max_degree)
-    features = np.zeros((g.num_nodes, max_degree + 1))
-    features[np.arange(g.num_nodes), clamped] = 1.0
-    return replace(g, features=features)
+    edges = g.edge_array
+    return replace(g, features=_degree_features(
+        g.num_nodes, edges[:, 0], edges[:, 1], max_degree))
 
 
 def _edge_prob_bounds(n: int) -> tuple[float, float]:
@@ -198,6 +235,12 @@ def gen_triangles_dataset(count: int, min_nodes: int, max_nodes: int,
     Class y is (triangle count - 1), features are one-hot degrees. Each
     graph draws from its own derived stream, so regenerating with the same
     arguments is bit-reproducible regardless of acceptance history.
+
+    A candidate stays as the ``(u, v)`` endpoint arrays of ``_sample_edges``
+    while its triangles are counted, so a rejected one builds no ``Graph``.
+    An accepted one becomes one validated ``Graph`` with its label and
+    features. A draw holds its n(n−1)/2 uniforms and about 3n² bytes for
+    counting; running out of memory there raises GenerationError.
     """
     if count < 1:
         raise DatasetError("count must be positive")
@@ -211,15 +254,15 @@ def gen_triangles_dataset(count: int, min_nodes: int, max_nodes: int,
             n = int(rng.integers(min_nodes, max_nodes + 1))
             low, high = _edge_prob_bounds(n)
             try:  # all n(n-1)/2 node pairs are drawn, and n×n are counted
-                edges = _sample_edges(n, rng.uniform(low, high), rng)
-                candidate = Graph(n, edges, np.zeros((n, 1)), 0)
-                triangles = count_triangles(candidate)
+                u, v = _sample_edges(n, rng.uniform(low, high), rng)
+                triangles = _triangles(n, u, v)
             except MemoryError as err:
                 raise GenerationError(
                     f"graph {i}: out of memory drawing a {n}-node graph") from err
             if TRIANGLE_MIN <= triangles <= TRIANGLE_MAX:
-                g = one_hot_degree_features(replace(candidate, label=triangles - 1))
-                graphs.append(g)
+                graphs.append(Graph(n, tuple(zip(u.tolist(), v.tolist())),
+                                    _degree_features(n, u, v, DEGREE_CAP),
+                                    triangles - 1))
                 break
         else:
             raise GenerationError(
@@ -239,19 +282,35 @@ def split_by_size(dataset: Dataset, train_max_nodes: int) -> tuple[Dataset, Data
     return Dataset(small, **meta), Dataset(large, **meta)
 
 
+def _add_noise(features: np.ndarray, sigma: float,
+               rng: np.random.Generator) -> np.ndarray:
+    # The check reduces to two scalars and the noise dies on return, so the
+    # arrays come and go as in the one expression features + sigma·z. A
+    # boolean mask, or noise kept alive into the next graph's draw, moved
+    # later allocations enough to slow training on the split by ~5%.
+    noise = sigma * rng.standard_normal(features.shape)
+    if not (math.isfinite(noise.max()) and math.isfinite(noise.min())):
+        raise NoiseOverflowError(
+            f"sigma {sigma} is too large: sigma·N(0, 1) overflows")
+    return features + noise
+
+
 def add_feature_noise(dataset: Dataset, sigma: float, rng_seed: int) -> Dataset:
     """Return a copy with i.i.d. Gaussian(0, sigma^2) added to every feature.
 
     Structure and labels are untouched; sigma = 0 reproduces the input
-    features exactly.
+    features exactly. A sigma so large that a noise draw overflows raises
+    NoiseOverflowError; finite noise that overflows a feature leaves a
+    non-finite feature, which the graph check rejects with DatasetError.
     """
     if sigma < 0:
         raise DatasetError(f"sigma must be nonnegative, got {sigma}")
     rng = np.random.default_rng(rng_seed)
     noisy = []
-    for g in dataset.graphs:
-        features = g.features + sigma * rng.standard_normal(g.features.shape)
-        noisy.append(replace(g, features=features))
+    with np.errstate(over="ignore"):  # an overflow raises instead
+        for g in dataset.graphs:
+            noisy.append(replace(g, features=_add_noise(g.features, sigma,
+                                                        rng)))
     return Dataset(noisy, num_classes=dataset.num_classes,
                    feature_dim=dataset.feature_dim)
 

@@ -1,5 +1,7 @@
 import json
+import warnings
 
+import numpy as np
 import pytest
 
 from decorgnn import cli
@@ -134,6 +136,38 @@ def test_split_leaving_a_side_empty_is_a_data_error(data_file, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("data error:") and err.count("\n") == 1, err
     assert not (tmp_path / "r.jsonl").exists()
+
+
+def test_noise_overflowing_split_sigma_exits_1(data_file, tmp_path, capsys):
+    results = tmp_path / "r.jsonl"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning included
+        code = cli.main(["train", "--data", str(data_file),
+                         "--results", str(results),
+                         "split_kind=by_feature_noise", "split_sigma=1e308"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: split_sigma") and err.count("\n") == 1, err
+    assert not results.exists()
+
+
+def test_features_overflowing_under_noise_exit_2(tmp_path, capsys):
+    top = float(np.finfo(np.float64).max)
+    data = tmp_path / "huge.jsonl"
+    data.write_text("".join(
+        json.dumps({"n": 3, "edges": [[0, 1]], "x": [[top, top]] * 3,
+                    "y": i % 2}) + "\n" for i in range(20)))
+    results = tmp_path / "r.jsonl"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["train", "--data", str(data), "--results",
+                         str(results), "split_kind=by_feature_noise",
+                         "split_sigma=1e300"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "non-finite" in err, err
+    assert err.count("\n") == 1
+    assert not results.exists()
 
 
 def test_train_missing_data_file_exits_2(tmp_path):

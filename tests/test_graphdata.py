@@ -1,5 +1,7 @@
 import itertools
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -139,6 +141,97 @@ def test_triangles_dataset_covers_large_sizes():
         assert 1 <= gd.count_triangles(g) <= 10
 
 
+def reference_triangles_dataset(count, min_nodes, max_nodes, rng_seed):
+    """The generator as a loop over Graph objects, kept as the reference.
+
+    Every candidate becomes a validated Graph from ``np.triu_indices``
+    pairs, triangles are counted edge by edge, and an accepted graph gets
+    its label and one-hot degrees through ``replace``. It draws from the
+    same per-graph streams as ``gen_triangles_dataset``.
+    """
+    def sample_edges(n, p, rng):
+        iu, iv = np.triu_indices(n, k=1)
+        keep = rng.random(iu.shape[0]) < p
+        return tuple(zip(iu[keep].tolist(), iv[keep].tolist()))
+
+    def count_triangles(g):
+        if len(g.edges) < 3:
+            return 0
+        adj = np.zeros((g.num_nodes, g.num_nodes), dtype=bool)
+        arr = np.asarray(g.edges)
+        adj[arr[:, 0], arr[:, 1]] = True
+        adj[arr[:, 1], arr[:, 0]] = True
+        closed = 0
+        for u, v in g.edges:
+            closed += int(np.count_nonzero(adj[u] & adj[v]))
+        return closed // 3
+
+    def one_hot_degree_features(g, max_degree=gd.DEGREE_CAP):
+        degrees = np.zeros(g.num_nodes, dtype=np.int64)
+        for u, v in g.edges:
+            degrees[u] += 1
+            degrees[v] += 1
+        features = np.zeros((g.num_nodes, max_degree + 1))
+        features[np.arange(g.num_nodes), np.minimum(degrees, max_degree)] = 1.0
+        return replace(g, features=features)
+
+    graphs = []
+    for i in range(count):
+        rng = np.random.default_rng(np.random.SeedSequence([rng_seed, i]))
+        while True:
+            n = int(rng.integers(min_nodes, max_nodes + 1))
+            low, high = gd._edge_prob_bounds(n)
+            edges = sample_edges(n, rng.uniform(low, high), rng)
+            candidate = gd.Graph(n, edges, np.zeros((n, 1)), 0)
+            triangles = count_triangles(candidate)
+            if gd.TRIANGLE_MIN <= triangles <= gd.TRIANGLE_MAX:
+                graphs.append(one_hot_degree_features(
+                    replace(candidate, label=triangles - 1)))
+                break
+    return graphs
+
+
+def assert_same_graphs(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.num_nodes == b.num_nodes
+        assert a.edges == b.edges
+        assert a.label == b.label
+        assert a.features.dtype == b.features.dtype
+        assert a.features.shape == b.features.shape
+        assert a.features.tobytes() == b.features.tobytes()
+
+
+@pytest.mark.parametrize("count,min_nodes,max_nodes",
+                         [(500, 5, 12), (500, 5, 16), (40, 4, 25),
+                          (10, 50, 60)])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_triangles_dataset_matches_the_graph_loop_reference(
+        count, min_nodes, max_nodes, seed):
+    data = gd.gen_triangles_dataset(count, min_nodes, max_nodes, rng_seed=seed)
+    assert_same_graphs(data.graphs, reference_triangles_dataset(
+        count, min_nodes, max_nodes, seed))
+
+
+def test_large_triangles_graphs_match_the_reference_over_several_blocks():
+    # more edges than nodes, so the counter ANDs more than one block
+    data = gd.gen_triangles_dataset(3, 300, 400, rng_seed=5)
+    assert any(len(g.edges) > g.num_nodes for g in data.graphs)
+    assert_same_graphs(data.graphs,
+                       reference_triangles_dataset(3, 300, 400, 5))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17])
+def test_sample_edges_keeps_the_masked_triu_pairs(n):
+    iu, iv = np.triu_indices(n, k=1)
+    for seed, p in itertools.product(range(3), (0.0, 0.3, 0.8, 1.0)):
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        u, v = gd._sample_edges(n, p, rng)
+        keep = twin.random(iu.shape[0]) < p
+        assert np.array_equal(u, iu[keep]) and np.array_equal(v, iv[keep])
+        assert rng.random() == twin.random()  # the same draws were consumed
+
+
 def test_generation_budget_exhaustion_raises(monkeypatch):
     monkeypatch.setattr(gd, "REJECTION_BUDGET", 1)
     with pytest.raises(gd.GenerationError):
@@ -184,6 +277,14 @@ def test_feature_noise_statistics_and_structure():
     assert abs(added.std() - 0.4) < 0.02
     for g0, g1 in zip(data.graphs, noisy.graphs):
         assert g0.edges == g1.edges and g0.label == g1.label
+
+
+def test_feature_noise_overflow_blames_sigma_without_a_warning():
+    data = gd.gen_triangles_dataset(10, 4, 12, rng_seed=9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(gd.NoiseOverflowError, match="sigma 1e"):
+            gd.add_feature_noise(data, 1e308, rng_seed=1)
 
 
 def test_apply_split_by_feature_noise_holds_out_test_only():
