@@ -31,7 +31,11 @@ generated files are byte-identical (``gen_files_identical``).
 
 The output JSON holds every run in the order it was made, and per workload
 and metric the median and quartiles of each side, the share of pairs the
-change won, and the median ratio change/parent.
+change won (``change_better_pairs``; a tie counts for neither side), the
+median ratio change/parent, the parent's quartile spread q3 - q1
+(``parent_iqr``) and ``claim_rule_met``. That flag states the rule a
+claimed gain must meet: the change won at least 9 in 10 of the pairs, and
+its median is better than the parent's by more than ``parent_iqr``.
 """
 
 from __future__ import annotations
@@ -64,10 +68,10 @@ def _stats(values) -> dict:
             "n": len(values)}
 
 
-def _wins(parent, change, better) -> str:
-    won = sum((c < p) if better == "lower" else (c > p)
-              for p, c in zip(parent, change))
-    return f"{won}/{len(parent)}"
+def _won(parent, change, better) -> int:
+    """Pairs the change won; a tie counts for neither side."""
+    return sum((c < p) if better == "lower" else (c > p)
+               for p, c in zip(parent, change))
 
 
 def _summary(pairs, names) -> dict:
@@ -79,12 +83,19 @@ def _summary(pairs, names) -> dict:
         if None in p + c:  # a run in which no body succeeded
             out[name] = None
             continue
-        ratio = (float(np.median(c) / np.median(p)) if np.median(p)
-                 else None)
-        out[name] = {"parent": _stats(p), "change": _stats(c),
-                     "change_better_pairs": _wins(p, c, BETTER.get(name,
-                                                                   "lower")),
-                     "median_ratio_change_over_parent": ratio}
+        better = BETTER.get(name, "lower")
+        ps, cs = _stats(p), _stats(c)
+        ratio = (cs["median"] / ps["median"] if ps["median"] else None)
+        won = _won(p, c, better)
+        gain = ((ps["median"] - cs["median"]) if better == "lower"
+                else (cs["median"] - ps["median"]))
+        parent_iqr = ps["q3"] - ps["q1"]
+        out[name] = {"parent": ps, "change": cs,
+                     "change_better_pairs": f"{won}/{len(p)}",
+                     "median_ratio_change_over_parent": ratio,
+                     "parent_iqr": parent_iqr,
+                     "claim_rule_met": bool(10 * won >= 9 * len(p)
+                                            and gain > parent_iqr)}
     return out
 
 

@@ -9,13 +9,13 @@ backward rule, so one backward call yields every parameter's gradient;
 ``predict`` runs the same forward pass with the tape off.
 
 There is one forward implementation. A no-tape caller may hand it a
-``Workspace``, and every [nodes × width] intermediate, the pooled rows and
-the logits are then written into its buffers, which grow to the largest
-union they serve and live as long as the caller keeps the workspace.
-``harness.evaluate`` keeps one per dataset and thread, freed with the
-dataset, and caps its chunks at ``harness.EVAL_ROWS`` union rows so the
-buffers stay small on large graphs. The taped path passes none, since its
-tape must own fresh arrays.
+``Workspace``, and the stacked features, every intermediate, the pooled
+rows and the logits are then written into its buffers, which grow to the
+largest union they serve and live as long as the caller keeps the
+workspace. ``harness.evaluate`` keeps one per thread for every dataset,
+and caps its chunks at ``harness.EVAL_ROWS`` union rows so the buffers
+stay small on large graphs. The taped path passes none, since its tape
+must own fresh arrays.
 
 Batches are encoded as one disjoint union: node features are stacked and
 per-graph sums taken over contiguous node segments, so a batch needs one
@@ -267,10 +267,11 @@ def neighbor_sum(h: nc.Tensor, index: _UnionIndex) -> nc.Tensor:
 class Workspace:
     """Arrays that no-tape forward passes write into and reuse.
 
-    Each role is one flat float64 buffer. ``take(role, rows, cols)``
-    returns a C-ordered [rows × cols] view of its first rows·cols entries
-    and replaces the buffer only when a request outgrows it, so after one
-    pass over a set of unions every buffer fits the largest of them. What
+    Each role, such as "features" for the stacked input rows, is one flat
+    float64 buffer. ``take(role, rows, cols)`` returns a C-ordered
+    [rows × cols] view of its first rows·cols entries and replaces the
+    buffer only when a request outgrows it, so every buffer fits the
+    largest union served so far, for as long as the workspace lives. What
     a pass returns is such a view, valid until the next pass that uses the
     workspace. A workspace serves one thread at a time.
     """
@@ -361,12 +362,20 @@ def gin_layer_forward(layer: GINLayer, h: nc.Tensor, index: _UnionIndex,
     ])
 
 
+def _stack_features(features, work: Workspace | None = None) -> np.ndarray:
+    """A union's feature arrays stacked row-wise, in the workspace's
+    "features" buffer when one is given."""
+    stacked = _take(work, "features", sum(len(f) for f in features),
+                    features[0].shape[1])
+    return np.concatenate(features, axis=0, out=stacked)
+
+
 def encode_batch(enc: EncoderParams, graphs) -> nc.Tensor:
     """Representations for a batch of graphs, one row per graph, on the tape."""
     if not graphs:
         raise ValueError("cannot encode an empty batch")
     return _encode_union(enc, _UnionIndex(graphs),
-                         np.concatenate([g.features for g in graphs], axis=0))
+                         _stack_features([g.features for g in graphs]))
 
 
 def _encode_union(enc: EncoderParams, index: _UnionIndex,
@@ -405,9 +414,8 @@ def predict(model: Model, graphs) -> np.ndarray:
     """
     if not graphs:
         raise ValueError("cannot predict an empty batch")
-    return _predict_union(
-        model, _UnionIndex(graphs),
-        np.concatenate([g.features for g in graphs], axis=0))
+    return _predict_union(model, _UnionIndex(graphs),
+                          _stack_features([g.features for g in graphs]))
 
 
 def _predict_union(model: Model, index: _UnionIndex, features: np.ndarray,

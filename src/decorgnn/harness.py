@@ -179,34 +179,20 @@ def init_model(cfg: TrainConfig, feature_dim: int, num_classes: int) -> enc.Mode
     )
 
 
-class _EvalMemo:
-    """What ``evaluate`` keeps for one dataset: its chunks per chunk size,
-    and one forward-pass workspace per thread."""
-
-    def __init__(self):
-        self.chunks = {}
-        self._local = threading.local()
-
-    def workspace(self) -> enc.Workspace:
-        work = getattr(self._local, "work", None)
-        if work is None:
-            work = self._local.work = enc.Workspace()
-        return work
-
-
-# Dataset -> _EvalMemo; an entry lives as long as its dataset, which hashes
-# by identity
+# Dataset -> {chunk: parts}, each entry as long-lived as its dataset (which
+# hashes by identity); and each thread's workspace, shared by every dataset
 _EVAL_CHUNKS = weakref.WeakKeyDictionary()
+_EVAL_LOCAL = threading.local()
 
 
 def _eval_chunks(dataset: Dataset, chunk: int) -> list:
-    """(union index, stacked features, labels) per chunk, built once.
+    """(union index, graphs' own feature arrays, labels) per chunk, built once.
 
     A chunk holds at most ``chunk`` graphs and ``EVAL_ROWS`` union rows;
     a graph with more nodes than that sits in a chunk alone.
     """
-    memo = _EVAL_CHUNKS.setdefault(dataset, _EvalMemo())
-    if chunk not in memo.chunks:
+    memo = _EVAL_CHUNKS.setdefault(dataset, {})
+    if chunk not in memo:
         graphs = sorted(dataset.graphs, key=lambda g: g.num_nodes)
         starts, rows = [], 0
         for i, g in enumerate(graphs):
@@ -218,40 +204,43 @@ def _eval_chunks(dataset: Dataset, chunk: int) -> list:
         parts = []
         for start, stop in zip(starts, starts[1:] + [len(graphs)]):
             part = graphs[start:stop]
-            features = np.concatenate([g.features for g in part], axis=0)
-            features.setflags(write=False)
-            parts.append((enc._UnionIndex(part), features,
+            parts.append((enc._UnionIndex(part), [g.features for g in part],
                           np.array([g.label for g in part])))
-        memo.chunks.setdefault(chunk, parts)
-    return memo.chunks[chunk]
+        memo.setdefault(chunk, parts)
+    return memo[chunk]
 
 
 def evaluate(model: enc.Model, dataset: Dataset,
              chunk: int = EVAL_CHUNK) -> float:
     """Accuracy over a dataset, encoded in chunks of ``chunk`` graphs.
 
-    The graphs are taken in node-count order (a stable sort), so graphs of
-    one size share a chunk and each size's adjacency stack is one
-    contiguous row range. A chunk also holds at most ``EVAL_ROWS`` union
-    rows, and a larger graph is encoded alone. Accuracy is a count of hits,
-    so the order moves no result. Each chunk's union index, stacked
-    features and labels are built on the first call for a (dataset, chunk)
-    pair and kept until the dataset is garbage-collected; later calls, such
-    as the per-epoch scoring in ``train``, run only the forward pass. A
-    dataset's graphs are therefore treated as immutable once it has been
-    evaluated.
+    ``chunk`` must be a positive integer. The graphs are taken in
+    node-count order (a stable sort), so graphs of one size share a chunk
+    and each size's adjacency stack is one contiguous row range. A chunk
+    also holds at most ``EVAL_ROWS`` union rows, and a larger graph is
+    encoded alone. Accuracy is a count of hits, so the order moves no
+    result. Each chunk's union index, labels and references to its graphs'
+    feature arrays are built on the first call for a (dataset, chunk) pair
+    and kept until the dataset is garbage-collected; later calls, such as
+    the per-epoch scoring in ``train``, run only the forward pass. A
+    dataset's graphs are therefore treated as immutable once evaluated.
 
-    The forward pass runs without a tape, into buffers that the dataset's
-    memo entry keeps for the calling thread. They grow to the largest chunk
-    on the first call and are freed with the dataset (or with the thread),
-    so a later call allocates nothing of chunk size, and threads that
-    evaluate one dataset at once never share them.
+    Each chunk's features are stacked into the calling thread's workspace,
+    where the forward pass runs without a tape. It serves every dataset:
+    its buffers grow to the largest chunk the thread has scored and live
+    as long as the thread, so a warmed call allocates nothing of chunk
+    size, and threads never share buffers.
     """
+    if not isinstance(chunk, (int, np.integer)) or chunk < 1:
+        raise ValueError(f"chunk must be a positive integer, got {chunk!r}")
     parts = _eval_chunks(dataset, chunk)
-    work = _EVAL_CHUNKS[dataset].workspace()
+    work = getattr(_EVAL_LOCAL, "work", None)
+    if work is None:
+        work = _EVAL_LOCAL.work = enc.Workspace()
     hits = 0
     for index, features, labels in parts:
-        pred = enc._predict_union(model, index, features, work)
+        pred = enc._predict_union(
+            model, index, enc._stack_features(features, work), work)
         hits += int(np.sum(pred == labels))
     return hits / len(dataset.graphs)
 
@@ -534,6 +523,9 @@ def probe_learning_rate(train_set: Dataset, cfg: TrainConfig) -> float:
     candidate runs ``train``'s epoch loop and is evaluated once, after its
     last epoch, since only that accuracy is compared.
     """
+    if len(train_set.graphs) < 2:  # one side of the holdout would be empty
+        raise DatasetError("the learning-rate probe needs at least 2 "
+                           f"training graphs, got {len(train_set.graphs)}")
     rng = np.random.default_rng(
         np.random.SeedSequence([cfg.seed, _STREAM_PROBE]))
     order = rng.permutation(len(train_set.graphs))

@@ -340,6 +340,19 @@ def test_experiment_command_runs_and_summarizes(tmp_path, capsys):
     assert summary["seeds"] == [0]
 
 
+def test_experiment_with_one_training_graph_blames_the_probe(tmp_path,
+                                                              capsys):
+    # a 2-graph noise split trains on one graph, which leaves the probe's
+    # fit set empty
+    code = cli.main(["experiment", "--name", "feature_noise_shift",
+                     "--out-dir", str(tmp_path), "--seeds", "0",
+                     "--count", "2", "epochs=1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == ("data error: the learning-rate probe needs at least 2 "
+                   "training graphs, got 1\n")
+
+
 def test_experiment_rejects_reserved_keys(tmp_path):
     code = cli.main(["experiment", "--name", "triangles_size_shift",
                      "--out-dir", str(tmp_path), "--seeds", "0",

@@ -240,8 +240,9 @@ def mixed_size_dataset(seed=8):
     return Dataset([graphs[i] for i in order], num_classes=10, feature_dim=5)
 
 
-def random_model(feature_dim, seed=4):
-    model = hn.init_model(small_cfg(seed=seed), feature_dim, 10)
+def random_model(feature_dim, seed=4, hidden_dim=16):
+    model = hn.init_model(small_cfg(seed=seed, hidden_dim=hidden_dim),
+                          feature_dim, 10)
     rng = np.random.default_rng(seed)
     for tensor in enc.parameters(model):
         tensor.value = tensor.value + 0.3 * rng.normal(size=tensor.shape)
@@ -266,9 +267,10 @@ def test_evaluate_in_node_count_order_matches_per_graph_prediction():
             [chunk] * (len(parts) - 1))
         # the chunks hold the graphs in node-count order, ties as listed
         at = 0
-        for index, features, part_labels in parts:
+        for index, part_features, part_labels in parts:
             ids = by_size[at:at + len(part_labels)]
             at += len(ids)
+            features = np.concatenate(part_features)
             assert np.array_equal(part_labels, labels[ids])
             # representations match bit for bit; the classifier's product
             # of one row alone takes another BLAS path, so the chunk is
@@ -316,8 +318,8 @@ def test_a_warmed_evaluate_allocates_less_than_one_chunk_block(size_split):
     model = hn.init_model(small_cfg(hidden_dim=hidden), test_set.feature_dim,
                           test_set.num_classes)
     want = hn.evaluate(model, test_set)  # builds the chunks and the buffers
-    rows = max(len(features)
-               for _, features, _ in hn._eval_chunks(test_set, hn.EVAL_CHUNK))
+    rows = max(index.num_nodes
+               for index, _, _ in hn._eval_chunks(test_set, hn.EVAL_CHUNK))
     tracemalloc.start()
     try:
         got = hn.evaluate(model, test_set)
@@ -326,6 +328,62 @@ def test_a_warmed_evaluate_allocates_less_than_one_chunk_block(size_split):
         tracemalloc.stop()
     assert got == want
     assert peak < rows * hidden * 8
+
+
+def test_eval_chunks_reference_the_graphs_own_feature_arrays():
+    dataset = mixed_size_dataset(seed=13)
+    by_size = sorted(dataset.graphs, key=lambda g: g.num_nodes)
+    for chunk in (1, 7, 64):
+        parts = hn._eval_chunks(dataset, chunk)
+        held = [f for _, features, _ in parts for f in features]
+        # no stacked copy: each entry is the graph's own array
+        assert len(held) == len(by_size)
+        assert all(f is g.features for f, g in zip(held, by_size))
+
+
+@pytest.mark.parametrize("chunk", [0, -1, 2.5])
+def test_evaluate_rejects_a_chunk_that_is_not_a_positive_integer(chunk):
+    dataset = mixed_size_dataset(seed=13)
+    model = random_model(dataset.feature_dim)
+    with pytest.raises(ValueError, match="chunk must be a positive integer"):
+        hn.evaluate(model, dataset, chunk=chunk)
+
+
+def test_datasets_of_different_chunk_sizes_share_one_thread_workspace():
+    large = mixed_size_dataset(seed=13)
+    small = Dataset([g for g in mixed_size_dataset(seed=14).graphs
+                     if g.num_nodes <= 9], num_classes=10, feature_dim=5)
+    model = random_model(5, hidden_dim=64)
+
+    def rows(dataset):
+        return max(index.num_nodes
+                   for index, _, _ in hn._eval_chunks(dataset, hn.EVAL_CHUNK))
+
+    def per_graph(dataset):
+        pred = np.concatenate([enc.predict(model, [g])
+                               for g in dataset.graphs])
+        return np.mean(pred == [g.label for g in dataset.graphs])
+
+    want = [per_graph(large), per_graph(small)]
+    assert rows(small) < rows(large)
+    got, peaks = [], []
+
+    def run():  # a new thread starts with an empty workspace
+        for dataset in (large, small, large, small):
+            got.append(hn.evaluate(model, dataset))
+        tracemalloc.start()
+        try:
+            got.append(hn.evaluate(model, small))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    assert got == [want[0], want[1], want[0], want[1], want[1]]
+    assert peaks[0] < rows(small) * model.encoder.hidden_dim * 8
 
 
 def test_concurrent_and_interleaved_evaluations_match_sequential_ones():
@@ -376,9 +434,10 @@ def test_a_graph_above_the_row_cap_is_evaluated_alone():
     model = random_model(5)
     parts = hn._eval_chunks(dataset, hn.EVAL_CHUNK)
     assert len(parts) == 2
-    assert len(parts[0][1]) <= hn.EVAL_ROWS
+    assert parts[0][0].num_nodes <= hn.EVAL_ROWS
     index, features, labels = parts[1]
-    assert len(labels) == 1 and len(features) == n
+    assert len(labels) == 1 and index.num_nodes == n
+    features = np.concatenate(features)
     alone = enc.predict(model, [ring])
     assert np.array_equal(enc._predict_union(model, index, features), alone)
     pred = np.concatenate([enc.predict(model, [g]) for g in dataset.graphs])
