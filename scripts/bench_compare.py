@@ -36,6 +36,21 @@ median ratio change/parent, the parent's quartile spread q3 - q1
 (``parent_iqr``) and ``claim_rule_met``. That flag states the rule a
 claimed gain must meet: the change won at least 9 in 10 of the pairs, and
 its median is better than the parent's by more than ``parent_iqr``.
+
+Which way is better, and how much worse a metric may get, is read by
+name from the ``end_to_end`` list of the parent checkout's
+``BENCHMARK.json`` (``better``, ``bound``); the large CLI run's
+``wall_s`` and ``peak_rss_mb`` use the entries of those names. Any other
+metric, such as the process counters, has no bound and is better lower,
+except ``bodies``. Each metric's summary also holds its ``bound`` and two
+flags that state the no-regression rule:
+
+* ``within_bound``: the change's median is no worse than the parent's by
+  more than ``bound`` times the parent's median;
+* ``unresolved``: ``parent_iqr`` is wider than that same allowance, so
+  the parent's own runs spread too widely to tell.
+
+Both are None for a metric without a bound.
 """
 
 from __future__ import annotations
@@ -53,8 +68,8 @@ import time
 
 import numpy as np
 
-BETTER = {"setup_s": "lower", "wall_s": "lower", "train_graphs_per_s": "higher",
-          "peak_rss_mb": "lower", "bodies": "higher"}
+# the direction of the metrics BENCHMARK.json does not list
+LOCAL = {"bodies": {"better": "higher", "bound": None}}
 # "<workload>: N samples of wall_s: ..." (traced runs: (un)traced_wall_s)
 SAMPLES = re.compile(r": (\d+) samples of (?:untraced_|traced_)?wall_s:")
 LARGE_GEN = ["gen", "--count", "48", "--min-nodes", "2000",
@@ -74,8 +89,20 @@ def _won(parent, change, better) -> int:
                for p, c in zip(parent, change))
 
 
-def _summary(pairs, names) -> dict:
-    """pairs: [(parent metrics, change metrics)], each {name: value}."""
+def _rules(checkout) -> dict:
+    """{metric: {"better", "bound"}} from the checkout's BENCHMARK.json
+    end-to-end metrics, over the local directions."""
+    with open(os.path.join(checkout, "BENCHMARK.json"),
+              encoding="utf-8") as fh:
+        spec = json.load(fh)
+    return {**LOCAL, **{m["name"]: {"better": m["better"],
+                                    "bound": m["bound"]}
+                        for m in spec["end_to_end"]}}
+
+
+def _summary(pairs, names, rules) -> dict:
+    """pairs: [(parent metrics, change metrics)], each {name: value};
+    rules: as ``_rules`` gives them."""
     out = {}
     for name in names:
         p = [a[name] for a, _ in pairs]
@@ -83,19 +110,26 @@ def _summary(pairs, names) -> dict:
         if None in p + c:  # a run in which no body succeeded
             out[name] = None
             continue
-        better = BETTER.get(name, "lower")
+        rule = rules.get(name, {"better": "lower", "bound": None})
+        better, bound = rule["better"], rule["bound"]
         ps, cs = _stats(p), _stats(c)
         ratio = (cs["median"] / ps["median"] if ps["median"] else None)
         won = _won(p, c, better)
         gain = ((ps["median"] - cs["median"]) if better == "lower"
                 else (cs["median"] - ps["median"]))
         parent_iqr = ps["q3"] - ps["q1"]
+        allowed = None if bound is None else bound * abs(ps["median"])
         out[name] = {"parent": ps, "change": cs,
                      "change_better_pairs": f"{won}/{len(p)}",
                      "median_ratio_change_over_parent": ratio,
                      "parent_iqr": parent_iqr,
                      "claim_rule_met": bool(10 * won >= 9 * len(p)
-                                            and gain > parent_iqr)}
+                                            and gain > parent_iqr),
+                     "bound": bound,
+                     "within_bound": (None if allowed is None
+                                      else bool(-gain <= allowed)),
+                     "unresolved": (None if allowed is None
+                                    else bool(parent_iqr > allowed))}
     return out
 
 
@@ -161,6 +195,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sides = {"parent": os.path.abspath(args.parent),
              "change": os.path.abspath(args.change)}
+    rules = _rules(sides["parent"])
 
     runs, order = [], 0
     result = {"host": f"{os.cpu_count()} CPUs, {platform.platform()}",
@@ -187,7 +222,8 @@ def main(argv=None) -> int:
                      **got[s]["process"]}
                     for s in ("parent", "change")))
             key = workload if trace == 0 else f"{workload}_trace"
-            result["summary"][key] = _summary(pairs, list(pairs[0][0]))
+            result["summary"][key] = _summary(pairs, list(pairs[0][0]),
+                                                rules)
             result["summary"][key]["all_correct"] = all(
                 r["result"]["correct"] and not r["result"]["failed"]
                 for r in runs if r["workload"] == workload
@@ -228,7 +264,7 @@ def main(argv=None) -> int:
                              + " ".join(LARGE_TRAIN)],
                 "gen_files_identical": all(identical),
                 **_summary(rounds, ["gen_wall_s", "gen_peak_rss_mb",
-                                    "wall_s", "peak_rss_mb"])}
+                                    "wall_s", "peak_rss_mb"], rules)}
 
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1)

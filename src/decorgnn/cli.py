@@ -45,8 +45,8 @@ def _convert(key: str, raw: str):
         return int(raw)
     if key == "split_sigma":
         return float(raw)
-    kind = _CONFIG_FIELDS[key].type
-    if kind is int or kind == "int":
+    # harness postpones its annotations, so a field's type is its name
+    if _CONFIG_FIELDS[key].type == "int":
         return int(raw)
     return float(raw)
 

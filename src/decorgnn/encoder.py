@@ -261,7 +261,8 @@ def neighbor_sum(h: nc.Tensor, index: _UnionIndex) -> nc.Tensor:
     if h.rows != index.num_nodes:
         raise nc.DimensionError(
             f"state rows {h.rows} != union nodes {index.num_nodes}")
-    return nc.op_node(index.neighbor(h.value), [(h, index.neighbor)])
+    return nc.op_node(index.neighbor(h.value), (h,),
+                      lambda g: (index.neighbor(g),))
 
 
 class Workspace:
@@ -299,7 +300,8 @@ def segment_sum(h: nc.Tensor, index: _UnionIndex,
         raise nc.DimensionError(
             f"state rows {h.rows} != union nodes {index.num_nodes}")
     pooled = _take(work, "pooled", len(index.sizes), h.cols)
-    return nc.op_node(index.pool(h.value, pooled), [(h, index.unpool)])
+    return nc.op_node(index.pool(h.value, pooled), (h,),
+                      lambda g: (index.unpool(g),))
 
 
 def gin_layer_forward(layer: GINLayer, h: nc.Tensor, index: _UnionIndex,
@@ -328,38 +330,24 @@ def gin_layer_forward(layer: GINLayer, h: nc.Tensor, index: _UnionIndex,
     r += 0.0                       # adding +0.0 turns any -0.0 into +0.0
     out = np.matmul(r, w2, out=_take(work, "state", rows, w2.shape[1]))
     out += layer.b2.value
-    memo = {}
 
-    def chain(g):  # every gradient but w2's and b2's, once per pass
-        if memo.get("g") is not g:
-            gz = g @ w2.T  # the gradient at z
-            gz *= r > 0.0  # the ReLU mask: r > 0 exactly where z > 0
-            gc = gz @ w1.T  # the gradient at combined
-            memo.update(g=g, gc=gc, w1=combined.T @ gz,
-                        b1=gz.sum(axis=0, keepdims=True))
-            del gz  # freed before the eps product makes a temporary
-            memo["eps"] = np.array([[np.sum(gc * hv)]])
-        return memo
+    def rule(g):
+        gz = g @ w2.T  # the gradient at z
+        gz *= r > 0.0  # the ReLU mask: r > 0 exactly where z > 0
+        gc = gz @ w1.T  # the gradient at combined
+        gw1, gb1 = combined.T @ gz, gz.sum(axis=0, keepdims=True)
+        del gz  # freed before the eps product makes a temporary
+        geps = np.array([[np.sum(gc * hv)]])
+        gh = None
+        if h.requires_grad:  # (neighbour sums of gc + gc) + e·gc
+            gh = index.neighbor(gc)
+            gh += gc
+            gc *= e  # its last use, so it is scaled in place
+            gh += gc
+        return gh, geps, gw1, gb1, r.T @ g, g.sum(axis=0, keepdims=True)
 
-    def grad_h(g):  # (neighbour sums of gc + gc) + e·gc
-        gc = chain(g).pop("gc")  # its last use, so it is scaled in place
-        gh = index.neighbor(gc)
-        gh += gc
-        gc *= e
-        gh += gc
-        return gh
-
-    def grad_b2(g):
-        memo.clear()  # b2 is served last, so the pass is done with the chain
-        return g.sum(axis=0, keepdims=True)
-
-    return nc.op_node(out, [
-        (h, grad_h),
-        (layer.eps, lambda g: chain(g)["eps"]),
-        (layer.w1, lambda g: chain(g)["w1"]),
-        (layer.b1, lambda g: chain(g)["b1"]),
-        (layer.w2, lambda g: r.T @ g), (layer.b2, grad_b2),
-    ])
+    return nc.op_node(out, (h, layer.eps, layer.w1, layer.b1, layer.w2,
+                            layer.b2), rule)
 
 
 def _stack_features(features, work: Workspace | None = None) -> np.ndarray:

@@ -1,14 +1,16 @@
 """Dense float64 matrices with a reverse-mode gradient tape.
 
-Every value is a 2-D float64 array. An operation records its inputs and a
-backward rule on the output node only when some input requires a gradient
-and the tape is on; ``backward`` walks the recorded graph in reverse
-topological order and accumulates partial derivatives, once per path. An
-operation over constants, or any operation inside ``no_tape()``, returns a
-parentless constant, so a forward pass that takes no gradient keeps no
-intermediate alive. Every output is still checked for non-finite entries.
-The tape is rebuilt on every forward pass, so parameter arrays may be
-swapped between passes without invalidating anything.
+Every value is a 2-D float64 array. An operation records its parents and
+one backward rule on the output node only when some parent requires a
+gradient and the tape is on. ``backward`` walks the recorded graph in
+reverse topological order, calls each node's rule once, pairs the
+gradients it returns with the node's parents, and accumulates them, once
+per path. An operation over constants, or any operation inside
+``no_tape()``, returns a parentless constant, so a forward pass that takes
+no gradient keeps no intermediate alive. Every output is still checked for
+non-finite entries. The tape is rebuilt on every forward pass, so
+parameter arrays may be swapped between passes without invalidating
+anything.
 """
 
 from __future__ import annotations
@@ -55,15 +57,15 @@ class Tensor:
     are skipped during backpropagation.
     """
 
-    __slots__ = ("value", "grad", "requires_grad", "_parents", "_grad_fns")
+    __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, values, requires_grad: bool = True,
-                 _parents: tuple = (), _grad_fns: tuple = ()):
+                 _parents: tuple = (), _backward: Callable | None = None):
         self.value = check_finite(_as_matrix(values))
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents = _parents
-        self._grad_fns = _grad_fns
+        self._backward = _backward
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -105,19 +107,20 @@ def no_tape():
         _TAPING.reset(token)
 
 
-def op_node(value: np.ndarray, inputs: Sequence[tuple[Tensor, Callable]]) -> Tensor:
+def op_node(value: np.ndarray, parents: Sequence[Tensor],
+            rule: Callable) -> Tensor:
     """Create an operation result node.
 
-    ``inputs`` pairs each parent tensor with a function mapping the output
-    gradient to that parent's gradient contribution. Modules building their
-    own structured operations (e.g. graph aggregation) use this hook instead
-    of growing this module. When no input requires a gradient, or inside
-    ``no_tape()``, the result is a parentless constant.
+    ``rule(g)`` maps the output gradient to one gradient per parent, in
+    ``parents``' order; ``backward`` calls it once per pass and ignores the
+    entry of a parent that needs no gradient, which may be None. Modules
+    building their own structured operations (e.g. graph aggregation) use
+    this hook instead of growing this module. When no parent requires a
+    gradient, or inside ``no_tape()``, the result is a parentless constant.
     """
-    if not (_TAPING.get() and any(t.requires_grad for t, _ in inputs)):
+    if not (_TAPING.get() and any(t.requires_grad for t in parents)):
         return Tensor(value, requires_grad=False)
-    return Tensor(value, _parents=tuple(t for t, _ in inputs),
-                  _grad_fns=tuple(f for _, f in inputs))
+    return Tensor(value, _parents=tuple(parents), _backward=rule)
 
 
 def matmul(a: Tensor, b: Tensor, out: np.ndarray | None = None) -> Tensor:
@@ -126,20 +129,15 @@ def matmul(a: Tensor, b: Tensor, out: np.ndarray | None = None) -> Tensor:
         raise DimensionError(
             f"cannot multiply shapes {a.shape} and {b.shape}")
     av, bv = a.value, b.value
-    return op_node(np.matmul(av, bv, out=out), [
-        (a, lambda g: g @ bv.T),
-        (b, lambda g: av.T @ g),
-    ])
+    return op_node(np.matmul(av, bv, out=out), (a, b),
+                   lambda g: (g @ bv.T, av.T @ g))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum of two same-shape matrices."""
     if a.shape != b.shape:
         raise DimensionError(f"cannot add shapes {a.shape} and {b.shape}")
-    return op_node(a.value + b.value, [
-        (a, lambda g: g),
-        (b, lambda g: g),
-    ])
+    return op_node(a.value + b.value, (a, b), lambda g: (g, g))
 
 
 def add_bias(x: Tensor, bias: Tensor,
@@ -151,18 +149,15 @@ def add_bias(x: Tensor, bias: Tensor,
     if bias.rows != 1 or bias.cols != x.cols:
         raise DimensionError(
             f"bias shape {bias.shape} does not broadcast over {x.shape}")
-    return op_node(np.add(x.value, bias.value, out=out), [
-        (x, lambda g: g),
-        (bias, lambda g: g.sum(axis=0, keepdims=True)),
-    ])
+    return op_node(np.add(x.value, bias.value, out=out), (x, bias),
+                   lambda g: (g, g.sum(axis=0, keepdims=True)))
 
 
 def relu(x: Tensor) -> Tensor:
     """Elementwise max(x, 0). Derivative is exactly zero at x == 0."""
     mask = x.value > 0.0
-    return op_node(np.where(mask, x.value, 0.0), [
-        (x, lambda g: g * mask),
-    ])
+    return op_node(np.where(mask, x.value, 0.0), (x,),
+                   lambda g: (g * mask,))
 
 
 def smul(s: Tensor, x: Tensor) -> Tensor:
@@ -171,18 +166,15 @@ def smul(s: Tensor, x: Tensor) -> Tensor:
         raise DimensionError(f"scale must be 1x1, got {s.shape}")
     s00 = s.value[0, 0]
     xv = x.value
-    return op_node(s00 * xv, [
-        (s, lambda g: np.array([[np.sum(g * xv)]])),
-        (x, lambda g: s00 * g),
-    ])
+    return op_node(s00 * xv, (s, x),
+                   lambda g: (np.array([[np.sum(g * xv)]]), s00 * g))
 
 
 def sum_all(x: Tensor) -> Tensor:
     """Sum of all entries, as a 1×1 tensor."""
     shape = x.shape
-    return op_node(np.array([[x.value.sum()]]), [
-        (x, lambda g: np.full(shape, g[0, 0])),
-    ])
+    return op_node(np.array([[x.value.sum()]]), (x,),
+                   lambda g: (np.full(shape, g[0, 0]),))
 
 
 def softmax_cross_entropy(logits: Tensor, labels, weights) -> Tensor:
@@ -222,12 +214,12 @@ def softmax_cross_entropy(logits: Tensor, labels, weights) -> Tensor:
     loss = float((w * -log_probs[rows, labels]).sum() / batch)
     probs = np.exp(log_probs)
 
-    def grad_logits(g):
+    def rule(g):
         d = probs.copy()
         d[rows, labels] -= 1.0
-        return (g[0, 0] / batch) * (w[:, None] * d)
+        return ((g[0, 0] / batch) * (w[:, None] * d),)
 
-    return op_node(np.array([[loss]]), [(logits, grad_logits)])
+    return op_node(np.array([[loss]]), (logits,), rule)
 
 
 def _ordered_nodes(root: Tensor) -> list[Tensor]:
@@ -272,10 +264,11 @@ def backward(root: Tensor) -> None:
         if not node._parents:
             node.grad = (np.array(g, dtype=np.float64) if node.grad is None
                          else node.grad + g)
-        for parent, fn in zip(node._parents, node._grad_fns):
+            continue
+        for parent, contribution in zip(node._parents, node._backward(g),
+                                        strict=True):
             if parent.requires_grad:
                 key = id(parent)
-                contribution = fn(g)
                 partial[key] = (partial[key] + contribution if key in partial
                                 else contribution)
 
@@ -347,9 +340,10 @@ class Adam:
     it is. On construction each parameter's ``value`` becomes a view of the
     value buffer, so a write into a value in place reaches the buffer, and
     ``step`` updates m, v and the values in place without allocating
-    anything of parameter size. A caller that rebinds a value instead (such
-    as ``load_checkpoint`` or a test) keeps working: the next step copies
-    the new array in and makes the view the value again.
+    anything of parameter size. A caller that rebinds a value instead (a
+    test may; ``load_checkpoint`` builds a fresh model with no optimizer)
+    keeps working: the next step copies the new array in and makes the view
+    the value again.
     """
 
     def __init__(self, params: Sequence[Tensor], lr: float,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 
@@ -106,6 +107,21 @@ def test_train_rejects_bad_values(data_file, tmp_path, capsys):
         assert cli.main(base + bad) == 1, bad
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1, err
+    assert not (tmp_path / "r.jsonl").exists()
+
+
+def test_every_int_setting_parses_an_int_and_refuses_a_fraction(
+        data_file, tmp_path, capsys):
+    base = ["train", "--data", str(data_file),
+            "--results", str(tmp_path / "r.jsonl")]
+    ints = [f.name for f in dataclasses.fields(hn.TrainConfig)
+            if f.type == "int"]
+    assert "epochs" in ints and "q" in ints
+    for name in ints:
+        value = cli.parse_config_pairs([f"{name}=3"])[0][name]
+        assert type(value) is int and value == 3, name
+        assert cli.main(base + [f"{name}=3.5"]) == 1, name
+        assert "bad value" in capsys.readouterr().err
     assert not (tmp_path / "r.jsonl").exists()
 
 

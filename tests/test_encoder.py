@@ -242,6 +242,47 @@ def test_fused_layer_matches_the_op_chain_bit_for_bit(monkeypatch):
     assert any(not np.array_equal(g, 0.0) for g in fused_once[:5])
 
 
+def test_every_rule_returns_one_gradient_per_parent():
+    index = enc_mod._UnionIndex(sample_graphs(3, seed=31))
+    rng = np.random.default_rng(4)
+    layer = make_model(8, 5, 2, 3, seed=4).encoder.layers[0]
+    h = nc.Tensor(rng.normal(size=(index.num_nodes, 8)))
+    a, c = (nc.Tensor(rng.normal(size=(3, 4))) for _ in range(2))
+    b = nc.Tensor(rng.normal(size=(4, 2)))
+    bias = nc.Tensor(rng.normal(size=(1, 4)))
+    nodes = [nc.matmul(a, b), nc.add(a, c), nc.add_bias(a, bias), nc.relu(a),
+             nc.smul(nc.Tensor([[0.7]]), a), nc.sum_all(a),
+             nc.softmax_cross_entropy(a, [0, 3, 1], [1.0, 0.5, 2.0]),
+             enc_mod.neighbor_sum(h, index), enc_mod.segment_sum(h, index),
+             enc_mod.gin_layer_forward(layer, h, index),
+             enc_mod.gin_layer_forward(layer, nc.constant(h.value), index)]
+    for node in nodes:
+        grads = node._backward(rng.normal(size=node.shape))
+        assert len(grads) == len(node._parents)
+        for parent, grad in zip(node._parents, grads):
+            assert grad is None or grad.shape == parent.shape
+    assert grads[0] is None  # the last layer's input is a constant
+
+
+def test_layer_zero_never_backpropagates_into_the_features(monkeypatch):
+    graphs = sample_graphs(4, seed=37)
+    model = make_model(8, 6, 3, 4, seed=5)
+    z = enc_mod.encode_batch(model.encoder, graphs)
+    loss = nc.softmax_cross_entropy(enc_mod.classify(model.classifier, z),
+                                    np.arange(4), np.ones(4))
+    neighbor, calls = enc_mod._UnionIndex.neighbor, []
+
+    def counted(self, h, out=None):
+        calls.append(h.shape)
+        return neighbor(self, h, out)
+
+    monkeypatch.setattr(enc_mod._UnionIndex, "neighbor", counted)
+    nc.backward(loss)
+    # layers 2 and 1 pass a gradient down to their input; layer 0's input
+    # is the constant features, so its neighbour-sum backward never runs
+    assert len(calls) == 2
+
+
 def test_a_workspace_forward_matches_the_fresh_one_bit_for_bit():
     model = make_model(8, 6, 3, 4, seed=14)
     shuffled = mixed_union(seed=31)
