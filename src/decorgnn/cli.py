@@ -1,8 +1,9 @@
 """Command line entry points: gen, train, experiment, report.
 
 Exit codes: 0 success, 1 usage problems (bad flags, unknown keys, config
-or split values out of range, a split_sigma whose noise overflows), 2 data
-problems (missing or corrupt files, impossible generation requests),
+or split values out of range, a split_sigma whose noise overflows, a
+histogram of more than MAX_BINS bins), 2 data problems (missing or corrupt
+files, a missing output directory, impossible generation requests),
 3 numeric divergence during training.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 
 import numpy as np
@@ -33,6 +35,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 _CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(hn.TrainConfig)}
+# one histogram line per bin, and numpy allocates bins + 1 edges
+MAX_BINS = 1000
 _SPLIT_KEYS = ("split_kind", "split_max_nodes", "split_sigma", "split_seed")
 
 
@@ -83,9 +87,18 @@ def _split_spec(overrides: dict) -> SplitSpec:
     )
 
 
+def _require_directory(flag: str, path) -> None:
+    """Refuse an output path whose directory is missing, before any work."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise FileNotFoundError(
+            f"{flag} {path}: directory {directory} does not exist")
+
+
 def _cmd_gen(args) -> int:
     if args.seed < 0:
         raise UsageError(f"--seed must be nonnegative, got {args.seed}")
+    _require_directory("--out", args.out)
     dataset = gen_triangles_dataset(args.count, args.min_nodes,
                                     args.max_nodes, args.seed)
     save_dataset(dataset, args.out)
@@ -100,6 +113,9 @@ def _cmd_train(args) -> int:
         spec = _split_spec(split)
     except ValueError as err:
         raise UsageError(str(err)) from err
+    _require_directory("--results", args.results)
+    if args.checkpoint:
+        _require_directory("--checkpoint", args.checkpoint)
     dataset = load_dataset(args.data)
     try:
         train_set, test_set = apply_split(dataset, spec)
@@ -134,8 +150,9 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    if args.bins < 1:
-        raise UsageError(f"--bins must be at least 1, got {args.bins}")
+    if not 1 <= args.bins <= MAX_BINS:
+        raise UsageError(
+            f"--bins must be between 1 and {MAX_BINS}, got {args.bins}")
     records, summary = hn.load_results(args.results)
     cfg = summary["config"]
     print(f"mode={cfg['mode']} seed={cfg['seed']} lr={cfg['lr']} "

@@ -335,15 +335,17 @@ def zeros_param(rows: int, cols: int) -> Tensor:
 class Adam:
     """Adaptive moment estimation over parameter tensors, as flat buffers.
 
-    The optimizer owns one flat buffer of parameter values, the moments m
-    and v, one gradient buffer and one scratch buffer, all alive as long as
-    it is. On construction each parameter's ``value`` becomes a view of the
-    value buffer, so a write into a value in place reaches the buffer, and
-    ``step`` updates m, v and the values in place without allocating
-    anything of parameter size. A caller that rebinds a value instead (a
-    test may; ``load_checkpoint`` builds a fresh model with no optimizer)
-    keeps working: the next step copies the new array in and makes the view
-    the value again.
+    The optimizer owns one flat buffer of parameter values and, apart from
+    it, one state block that holds the moments m and v, a gradient buffer
+    and a scratch buffer. On construction each parameter's ``value``
+    becomes a view of the value buffer, so a write into a value in place
+    reaches the buffer, and ``step`` updates m, v and the values in place
+    without allocating anything of parameter size. A model kept after
+    training therefore holds only its values; the state block goes with
+    the optimizer. A caller that rebinds a value instead (a test may;
+    ``load_checkpoint`` builds a fresh model with no optimizer) keeps
+    working: the next step copies the new array in and makes the view the
+    value again.
     """
 
     def __init__(self, params: Sequence[Tensor], lr: float,
@@ -355,8 +357,9 @@ class Adam:
         self.t = 0
         sizes = [p.value.size for p in self.params]
         bounds = np.concatenate(([0], np.cumsum(sizes, dtype=np.intp)))
-        (self._value, self._grad, self._m, self._v,
-         self._scratch) = np.zeros((5, int(bounds[-1])))
+        self._value = np.zeros(int(bounds[-1]))
+        self._grad, self._m, self._v, self._scratch = np.zeros(
+            (4, int(bounds[-1])))
         self._views = []
         for p, lo, hi in zip(self.params, bounds[:-1], bounds[1:]):
             view = self._value[lo:hi].reshape(p.shape)

@@ -192,6 +192,31 @@ def test_train_missing_data_file_exits_2(tmp_path):
     assert code == 2
 
 
+def test_a_missing_output_directory_exits_2_before_any_work(
+        data_file, tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the output directory was checked")
+
+    monkeypatch.setattr(hn, "train", never)
+    monkeypatch.setattr(cli, "gen_triangles_dataset", never)
+    missing = tmp_path / "missing"
+    results = tmp_path / "r.jsonl"
+    for argv in (
+            ["gen", "--out", str(missing / "x.jsonl"), "--count", "5"],
+            ["train", "--data", str(data_file),
+             "--results", str(missing / "r.jsonl")],
+            ["train", "--data", str(data_file), "--results", str(results),
+             "--checkpoint", str(missing / "c.npz")]):
+        capsys.readouterr()
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("data error:"), captured.err
+        assert str(missing) in captured.err
+        assert captured.err.count("\n") == 1
+    assert not missing.exists() and not results.exists()
+
+
 def test_train_corrupt_data_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     for text in ("{broken\n",
@@ -272,6 +297,31 @@ def test_report_rejects_nonpositive_bins(data_file, tmp_path, capsys):
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
+
+
+def test_report_refuses_more_bins_than_the_ceiling(data_file, tmp_path,
+                                                    capsys, monkeypatch):
+    results = tmp_path / "run.jsonl"
+    assert cli.main(["train", "--data", str(data_file),
+                     "--results", str(results),
+                     "mode=ood_gnn", "epochs=1", "hidden_dim=16",
+                     "epochs_reweight=2"]) == 0
+
+    def never(*args, **kwargs):
+        raise AssertionError("binned a refused --bins")
+
+    capsys.readouterr()
+    assert cli.main(["report", "--results", str(results), "--histogram",
+                     "--bins", str(cli.MAX_BINS)]) == 0
+    assert capsys.readouterr().out.count("\n") == 4 + cli.MAX_BINS
+    monkeypatch.setattr(cli.np, "histogram", never)
+    for bins in (cli.MAX_BINS + 1, 10**12):
+        assert cli.main(["report", "--results", str(results), "--histogram",
+                         "--bins", str(bins)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: --bins must be between 1 and "
+                                f"{cli.MAX_BINS}, got {bins}\n")
 
 
 def test_report_missing_file_exits_2(tmp_path, capsys):

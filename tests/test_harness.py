@@ -5,6 +5,7 @@ import stat
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -249,7 +250,10 @@ def random_model(feature_dim, seed=4, hidden_dim=16):
     return model
 
 
-def test_evaluate_in_node_count_order_matches_per_graph_prediction():
+def test_evaluate_in_node_count_order_matches_per_graph_prediction(
+        monkeypatch):
+    # chunks cut by graph count alone: 2048 rows never bind on this data
+    monkeypatch.setattr(hn, "EVAL_ROWS", 2048)
     dataset = mixed_size_dataset()
     model = random_model(dataset.feature_dim)
     graphs = dataset.graphs
@@ -286,6 +290,8 @@ def test_evaluate_in_node_count_order_matches_per_graph_prediction():
 
 
 def test_a_second_evaluate_builds_no_union_index(monkeypatch):
+    # chunks cut by graph count alone: 2048 rows never bind on this data
+    monkeypatch.setattr(hn, "EVAL_ROWS", 2048)
     dataset = mixed_size_dataset(seed=9)
     model, other = (random_model(dataset.feature_dim, seed=s) for s in (4, 5))
     labels = [g.label for g in dataset.graphs]
@@ -310,6 +316,23 @@ def test_a_second_evaluate_builds_no_union_index(monkeypatch):
     del dataset
     gc.collect()
     assert len(hn._EVAL_CHUNKS) == held - 1
+
+
+def test_evaluate_does_not_depend_on_the_row_cap(monkeypatch):
+    dataset = mixed_size_dataset(seed=15)
+    model = random_model(dataset.feature_dim)
+    pred = np.concatenate([enc.predict(model, [g]) for g in dataset.graphs])
+    want = np.mean(pred == [g.label for g in dataset.graphs])
+    cuts = []
+    for rows in (16, 512, 2048):
+        monkeypatch.setattr(hn, "EVAL_ROWS", rows)
+        hn._EVAL_CHUNKS.clear()
+        assert hn.evaluate(model, dataset) == want, rows
+        parts = hn._eval_chunks(dataset, hn.EVAL_CHUNK)
+        assert all(index.num_nodes <= rows or len(labels) == 1
+                   for index, _, labels in parts)
+        cuts.append(len(parts))
+    assert cuts[0] > cuts[1] > cuts[2]  # each cap cut the data differently
 
 
 def test_a_warmed_evaluate_allocates_less_than_one_chunk_block(size_split):
@@ -443,6 +466,25 @@ def test_a_graph_above_the_row_cap_is_evaluated_alone():
     pred = np.concatenate([enc.predict(model, [g]) for g in dataset.graphs])
     want = np.mean(pred == [g.label for g in dataset.graphs])
     assert hn.evaluate(model, dataset) == want
+
+
+def test_each_step_frees_the_last_tape_before_the_next_starts(size_split,
+                                                              monkeypatch):
+    train_set, test_set = size_split
+    step = enc.weighted_prediction_step
+    held, live = [], []
+
+    def watched(*args, **kwargs):
+        live.append([ref() is not None for ref in held])
+        loss = step(*args, **kwargs)
+        held.append(weakref.ref(loss.value))
+        return loss
+
+    monkeypatch.setattr(hn.enc, "weighted_prediction_step", watched)
+    hn.train(train_set, test_set, small_cfg(epochs=2))
+    assert len(live) > 2  # more than one step an epoch
+    # no earlier step's loss, hence no tape, is alive when a step starts
+    assert all(not any(alive) for alive in live), live
 
 
 def test_divergence_error_names_epoch_and_batch(size_split, monkeypatch):

@@ -381,3 +381,15 @@ def test_operations_surface_nonfinite_results():
         with scope, np.errstate(over="ignore"):
             with pytest.raises(nc.NonFiniteError):
                 nc.matmul(big, nc.Tensor([[10.0]]))
+
+
+def test_adam_parameters_share_one_buffer_of_their_own_size():
+    rng = np.random.default_rng(23)
+    params = [nc.Tensor(rng.standard_normal(s))
+              for s in [(4, 3), (1, 3), (1, 1), (3, 2)]]
+    total = sum(p.value.nbytes for p in params)
+    nc.Adam(params, lr=1e-3)
+    bases = {id(p.value.base) for p in params}
+    assert len(bases) == 1
+    # a model kept after training pins its values, not the optimizer state
+    assert params[0].value.base.nbytes == total
