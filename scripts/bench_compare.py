@@ -11,14 +11,17 @@ Usage, from any directory:
 Each benchmark run is ``python3 perfbench/run.py --workload W --seed S
 --seconds 30 --trace T`` in its own process, inside its own checkout. The
 two sides alternate which runs first: odd pairs run the parent first. The
-last output line of each run is kept as its result, with the minor page
-faults and peak RSS that ``wait4`` reports for the whole process
-(``process_minflt``, ``process_maxrss_mb``) and the number of timed bodies
+last output line of each run is kept as its result, with what ``wait4``
+reports for the whole process: minor page faults, peak RSS, and user and
+system CPU seconds (``process_minflt``, ``process_maxrss_mb``,
+``process_utime_s``, ``process_stime_s``), and the number of timed bodies
 it ran (``bodies``, read from the ``N samples of wall_s`` line ``run.py``
 prints; a traced run counts its untraced and traced bodies). The faults
-cover set-up and every body of a run of fixed length, in which a faster
-side runs more bodies, so they are also summarized per body
-(``process_minflt_per_body``).
+and CPU times cover set-up and every body of a run of fixed length, in
+which a faster side runs more bodies, so they are also summarized per
+body (``process_minflt_per_body``, ``process_utime_s_per_body``,
+``process_stime_s_per_body``). System time shows the kernel's share, such
+as the cost of page faults, apart from swings in host speed.
 
 ``--large-rounds N`` also runs N alternating rounds of a large-graph CLI
 job. In each round each checkout generates 48 graphs of 2000-3000 nodes
@@ -152,18 +155,26 @@ def _wait(argv, checkout, env=None):
         return wall, usage, out.read().strip()
 
 
+def _process(usage, bodies: int) -> dict:
+    """One run's process counters from its ``wait4`` resource usage, in
+    total and per timed body (None when no body ran)."""
+    totals = {"process_minflt": usage.ru_minflt,
+              "process_utime_s": usage.ru_utime,
+              "process_stime_s": usage.ru_stime}
+    return {**totals, "process_maxrss_mb": usage.ru_maxrss / 1024,
+            "bodies": bodies,
+            **{f"{name}_per_body": value / bodies if bodies else None
+               for name, value in totals.items()}}
+
+
 def _bench(checkout, workload, seed, trace, seconds) -> dict:
     _, usage, text = _wait(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds),
          "--trace", str(trace)], checkout)
     result = json.loads(text.splitlines()[-1])
-    bodies = sum(int(n) for n in SAMPLES.findall(text))
-    result["process"] = {"process_minflt": usage.ru_minflt,
-                         "process_maxrss_mb": usage.ru_maxrss / 1024,
-                         "bodies": bodies,
-                         "process_minflt_per_body": (
-                             usage.ru_minflt / bodies if bodies else None)}
+    result["process"] = _process(
+        usage, sum(int(n) for n in SAMPLES.findall(text)))
     return result
 
 

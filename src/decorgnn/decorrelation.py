@@ -11,11 +11,13 @@ this gives a differentiable objective in the per-sample weights, minimized
 by projected gradient descent under the constraints sum(w) = N and
 w >= W_MIN. The solve takes plain arrays and explicit settings;
 ``harness.TrainConfig`` alone sets their defaults and checks them. Each
-solve allocates its buffers once and scores every step in them, bit for
-bit as fresh arrays would. A step takes the gradient only in the weights
-it moves: weights held frozen (the stored groups of the global memory)
-still shape the objective, but the projection never changes them, so
-their gradient entries would be thrown away.
+solve allocates its buffers once, or takes them from a caller's workspace
+that outlives it, and scores every step in them, bit for bit as fresh
+arrays would. A step takes the gradient only in the weights it moves:
+weights held frozen (the stored groups of the global memory) still shape
+the objective, but the projection never changes them, so their gradient
+entries would be thrown away, and their share of the weighted maps is
+computed once per solve.
 
 An independent Gaussian-kernel HSIC estimator is included as the
 statistical oracle the objective is validated against.
@@ -85,7 +87,7 @@ def weighted_partial_cov(zi, zj, weights, f_bank, g_bank) -> np.ndarray:
     if len(f) != len(g):
         raise ValueError(f"column lengths differ: {len(f)} vs {len(g)}")
     _, w = _inputs(f, weights)
-    return _Problem(f, g, 1.0).cov(w)
+    return _Problem(np.concatenate([f, g], axis=1), 1.0).cov(w)
 
 
 def dims_kept(d: int, fraction: float) -> int:
@@ -120,20 +122,39 @@ def sample_pairs(d: int, fraction: float, rng) -> list[tuple[int, int]]:
     return list(zip(*_pair_index(d, fraction, rng).tolist()))
 
 
-def _maps(z: np.ndarray, fields) -> tuple[np.ndarray, np.ndarray]:
-    """f and g maps of all columns as two [N × d*q] blocks, from banks in a
-    [d × (f, g) × (freqs, phases) × q] array; None is the identity map."""
+def _block(work, role: str, rows: int, cols: int) -> np.ndarray:
+    """A [rows × cols] array: the workspace's for ``role``, else fresh."""
+    return np.empty((rows, cols)) if work is None else work.take(role, rows, cols)
+
+
+def _maps(z: np.ndarray, fields, work=None) -> np.ndarray:
+    """The f maps of all columns, then their g maps, as one [N × 2·d·q]
+    block, from banks in a [d × (f, g) × (freqs, phases) × q] array; None
+    is the identity map. Each entry is √2·cos(ω·z + φ), computed in place
+    in the block (the workspace's "fg" when one is given)."""
+    n, d = z.shape
+    q = 1 if fields is None else np.shape(fields)[-1]
+    fg = _block(work, "fg", n, 2 * d * q)
     if fields is None:
-        return z, z
+        fg[:, :d] = fg[:, d:] = z
+        return fg
     freqs, phases = np.transpose(fields, (2, 1, 0, 3))[:, :, None]
-    f, g = np.sqrt(2.0) * np.cos(z[:, :, None] * freqs + phases)
-    return f.reshape(z.shape[0], -1), g.reshape(z.shape[0], -1)
+    maps = fg.reshape(n, 2, d, q).transpose(1, 0, 2, 3)  # [(f, g) × N × d × q]
+    np.multiply(z[:, :, None], freqs, out=maps)
+    maps += phases
+    np.cos(maps, out=maps)
+    maps *= np.sqrt(2.0)
+    return fg
 
 
-def _mask(rows, cols, d: int, q: int) -> np.ndarray:
+def _mask(rows, cols, d: int, q: int, work=None) -> np.ndarray:
+    """The 0/1 [d·q × d·q] mask of the pairs (rows, cols): each pair's
+    q × q block is ones."""
     select = np.zeros((d, d))
     select[rows, cols] = 1.0
-    return np.kron(select, np.ones((q, q)))
+    mask = _block(work, "mask", d * q, d * q)
+    mask.reshape(d, q, d, q)[...] = select[:, None, :, None]
+    return mask
 
 
 @functools.lru_cache(maxsize=8)
@@ -170,7 +191,7 @@ def _setup(z, weights, banks, pairs):
     bad = np.flatnonzero((rows < 0) | (rows >= cols) | (cols >= d))
     if bad.size:
         raise ValueError(f"pair ({rows[bad[0]]}, {cols[bad[0]]}) invalid for d={d}")
-    return w, *_maps(z, banks), _mask(rows, cols, d, q)
+    return w, _maps(z, banks), _mask(rows, cols, d, q)
 
 
 class _Problem:
@@ -179,30 +200,57 @@ class _Problem:
 
     C(w) = AᵀB/(N-1) with [A | B] = centred(w*[F | G]) is
     weighted_partial_cov for every pair at once; one pass weights and
-    centres both halves of the [N × 2W] block. Every row shapes C, but a
-    solve moves only its free weights, so the gradient is taken for
-    ``rows`` alone: the stacks FA = [F_r; A_r] and BG = [B_r; G_r] give both
-    gradient terms of those rows from one product FA @ C."""
+    centres both halves of the [N × 2W] block ``fg`` = [F | G], which the
+    problem reads and never writes. Every row shapes C, but a solve moves
+    only its free weights, so the gradient is taken for ``rows`` alone:
+    the stacks FA = [F_r; A_r] and BG = [B_r; G_r] give both gradient terms
+    of those rows from one product FA @ C.
 
-    def __init__(self, f, g, mask, l2_lambda: float = 0.0, rows=None):
-        n, width = f.shape
+    ``head``, when given, holds the weights of the rows before ``rows``,
+    which must then be every row from ``len(head)`` on: the frozen stored
+    groups of a memory batch. Those rows are weighted once, and their
+    column sum folded once; numpy sums a C-ordered block over axis 0 as a
+    left fold, row after row, so continuing that fold over the free rows
+    gives the bits of the whole sum. With a workspace ``work``, every block
+    is one of its buffers, valid until its next use.
+    """
+
+    def __init__(self, fg, mask, l2_lambda: float = 0.0, rows=None,
+                 head=None, work=None):
+        n, width = fg.shape[0], fg.shape[1] // 2
         self.n, self.width, self.mask, self.l2_lambda = n, width, mask, l2_lambda
+        self.fg = fg
         rows = np.arange(n) if rows is None else np.asarray(rows)
         self.r = r = rows.size
         # sorted distinct rows that form one run (all of them, or a memory
         # batch's free tail) are copied as a slice, at half a gather's cost
         run = r and rows[-1] - rows[0] == r - 1
         self.rows = slice(rows[0], rows[-1] + 1) if run else rows
-        self.fg = np.concatenate([f, g], axis=1)
-        self.ab = np.empty_like(self.fg)
-        self.fa, self.bg, self.t = np.empty((3, 2 * r, width))
-        self.fa[:r], self.bg[r:] = f[self.rows], g[self.rows]
-        self.c = np.empty((width, width))
+        self.ab = _block(work, "ab", n, 2 * width)
+        self.fa, self.bg, self.t = _block(
+            work, "fa_bg_t", 6 * r, width).reshape(3, 2 * r, width)
+        self.fa[:r], self.bg[r:] = fg[self.rows, :width], fg[self.rows, width:]
+        self.c = _block(work, "c", width, width)
+        self.lo = 0 if head is None else len(head)
+        if self.lo:
+            self.head = np.multiply(head[:, None], fg[:self.lo],
+                                    out=_block(work, "head", self.lo, 2 * width))
+            self.head_sum = self.head.sum(axis=0)
 
     def cov(self, w: np.ndarray) -> np.ndarray:
         """The masked C(w), held in the workspace until the next call."""
-        ab = np.multiply(w[:, None], self.fg, out=self.ab)
-        ab -= ab.sum(axis=0) / self.n  # bit-identical to .mean(axis=0)
+        ab, lo = self.ab, self.lo
+        if lo:
+            # row lo - 1 holds the head's fold while the tail's is finished;
+            # it is centred from the head like the rows before it
+            ab[lo - 1] = self.head_sum
+            np.multiply(w[lo:, None], self.fg[lo:], out=ab[lo:])
+            mean = ab[lo - 1:].sum(axis=0) / self.n
+            np.subtract(self.head, mean, out=ab[:lo])
+            ab[lo:] -= mean
+        else:
+            np.multiply(w[:, None], self.fg, out=ab)
+            ab -= ab.sum(axis=0) / self.n  # bit-identical to .mean(axis=0)
         c = np.matmul(ab[:, :self.width].T, ab[:, self.width:], out=self.c)
         c /= self.n - 1
         c *= self.mask
@@ -254,12 +302,16 @@ def _free_target(w: np.ndarray, total: float, free) -> tuple[np.ndarray, float]:
 
 def _rescale(vals: np.ndarray, target: float) -> np.ndarray:
     """Clamp to >= W_MIN and rescale to sum to ``target``, repeating on the
-    entries still above the floor until both hold."""
-    vals = np.maximum(vals, W_MIN)
-    if vals.min() > W_MIN:  # nothing on the floor: the loop's first pass
-        scaled = vals * (target / vals.sum())
-        if scaled.min() >= W_MIN:
-            return scaled
+    entries still above the floor until both hold; in place in ``vals``,
+    which is returned."""
+    np.maximum(vals, W_MIN, out=vals)
+    smallest = vals.min()
+    if smallest > W_MIN:  # nothing on the floor: the loop's first pass
+        factor = target / vals.sum()
+        # rounding is monotone, so the scaled minimum is the scaled entries'
+        if smallest * factor >= W_MIN:
+            vals *= factor
+            return vals
     for _ in range(vals.size):
         above = vals > W_MIN
         if not above.any():
@@ -303,7 +355,8 @@ class OptimizeResult:
 
 def optimize_weights(z, w0, *, steps: int, lr_w: float, l2_lambda: float,
                      q: int, pair_fraction: float, seed, free=None,
-                     linear: bool = False, telemetry=None) -> OptimizeResult:
+                     linear: bool = False, telemetry=None,
+                     work=None) -> OptimizeResult:
     """Run ``steps`` projected gradient steps of size ``lr_w`` on the
     objective plus ``l2_lambda``·||w||², starting from the array ``w0``.
 
@@ -317,8 +370,16 @@ def optimize_weights(z, w0, *, steps: int, lr_w: float, l2_lambda: float,
     projection rescales only those, holding the rest as constants while the
     full vector keeps sum(w) = N, so the sum the free ones must reach is
     fixed at entry, and each step takes the gradient in the free weights
-    only. The full-pair mask is shared between calls. ``telemetry``, when
-    given, receives (step, objective, weights) after each projection.
+    only; when the free weights are the tail of w, as in a memory batch,
+    the frozen head is weighted once for the whole solve. The full-pair
+    mask is shared between calls. ``telemetry``, when given, receives
+    (step, objective, weights) after each projection.
+
+    ``work``, an object whose ``take(role, rows, cols)`` returns a reused
+    [rows × cols] array (such as an ``encoder.Workspace``), holds the
+    maps, the mask and every per-step block, so a solve no larger than an
+    earlier one allocates nothing of its size. They are valid until the
+    workspace's next use; the returned weights are always a fresh array.
     """
     z, w = _inputs(z, w0)
     if not np.isfinite(w).all():
@@ -327,11 +388,14 @@ def optimize_weights(z, w0, *, steps: int, lr_w: float, l2_lambda: float,
     w = w.copy()
     rng = np.random.default_rng(seed)
     q = 1 if linear else q
-    maps = _maps(z, None if linear else sample_banks(d, q, rng))
+    fg = _maps(z, None if linear else sample_banks(d, q, rng), work)
     mask = (_full_mask(d, q) if pair_fraction == 1.0
-            else _mask(*_pair_index(d, pair_fraction, rng), d, q))
+            else _mask(*_pair_index(d, pair_fraction, rng), d, q, work))
     idx, target = _free_target(w, float(n), free)
-    problem = _Problem(*maps, mask, l2_lambda, rows=idx)
+    lo = n - idx.size  # idx (sorted, distinct) is w's tail if it starts here
+    problem = _Problem(fg, mask, l2_lambda, rows=idx,
+                       head=w[:lo] if 0 < lo < n and idx[0] == lo else None,
+                       work=work)
 
     history = []
     for step in range(steps):
@@ -340,7 +404,9 @@ def optimize_weights(z, w0, *, steps: int, lr_w: float, l2_lambda: float,
             raise OptimizationError(f"non-finite objective or gradient at step {step}")
         history.append(objective)
         if idx.size:
-            w[idx] = _rescale(w[idx] - lr_w * grad, target)
+            free_w = w[problem.rows]  # a view when the free rows are a run
+            free_w -= lr_w * grad
+            w[problem.rows] = _rescale(free_w, target)
         if telemetry is not None:
             telemetry(step, objective, w.copy())
     final, _ = problem(w, False)
@@ -410,5 +476,5 @@ def hsic_permutation_threshold(x, y, shuffles: int = 200,
     null = np.empty(shuffles)
     for s in range(shuffles):
         p = rng.permutation(n)
-        null[s] = np.vdot(kc, l.take(p, 0).take(p, 1)) / n ** 2
+        null[s] = np.vdot(kc, l[np.ix_(p, p)]) / n ** 2
     return stat, float(np.quantile(null, quantile))

@@ -8,14 +8,19 @@ runs on numcore's reverse-mode tape, one node per layer with its own
 backward rule, so one backward call yields every parameter's gradient;
 ``predict`` runs the same forward pass with the tape off.
 
-There is one forward implementation. A no-tape caller may hand it a
+There is one forward implementation. A caller may hand it a
 ``Workspace``, and the stacked features, every intermediate, the pooled
 rows and the logits are then written into its buffers, which grow to the
 largest union they serve and live as long as the caller keeps the
-workspace. ``harness.evaluate`` keeps one per thread for every dataset,
-and caps its chunks at ``harness.EVAL_ROWS`` union rows so the buffers
-stay small on large graphs. The taped path passes none, since its tape
-must own fresh arrays.
+workspace. A no-tape pass lets every layer share one set of buffers; a
+taped pass gives each layer a child scope, since its tape keeps every
+layer's arrays, and the layer's backward rule writes its [nodes × width]
+gradients into the same scope. A tape built in a workspace is valid until
+that workspace's next pass, which overwrites it. Without a workspace
+every array is fresh. ``harness.evaluate`` and the training
+steps of ``harness.train`` share one workspace per thread, and evaluation
+caps its chunks at ``harness.EVAL_ROWS`` union rows so the buffers stay
+small on large graphs.
 
 Batches are encoded as one disjoint union: node features are stacked and
 per-graph sums taken over contiguous node segments, so a batch needs one
@@ -149,7 +154,8 @@ class _UnionIndex:
     the rest, and no graph is padded to the batch's largest. The union's
     adjacency is symmetric, so ``neighbor`` is its own transpose and serves
     forward and backward alike. ``pool`` sums rows over the contiguous
-    per-graph segments.
+    per-graph segments, and ``unpool`` copies each graph's row back to its
+    nodes' rows.
     """
 
     def __init__(self, graphs):
@@ -158,6 +164,7 @@ class _UnionIndex:
         self.num_nodes = int(offsets[-1])
         self.sizes = sizes
         self.seg_starts = offsets[:-1]
+        self.graph_of_row = np.repeat(np.arange(len(sizes)), sizes)
 
         edges = [g.edge_array for g in graphs]
         counts = np.array([len(e) for e in edges], dtype=np.intp)
@@ -252,8 +259,10 @@ class _UnionIndex:
     def pool(self, h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         return np.add.reduceat(h, self.seg_starts, axis=0, out=out)
 
-    def unpool(self, g: np.ndarray) -> np.ndarray:
-        return np.repeat(g, self.sizes, axis=0)
+    def unpool(self, g: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
+        # "clip" never binds on these indices; "raise" would buffer the out
+        return np.take(g, self.graph_of_row, axis=0, out=out, mode="clip")
 
 
 def neighbor_sum(h: nc.Tensor, index: _UnionIndex) -> nc.Tensor:
@@ -266,19 +275,23 @@ def neighbor_sum(h: nc.Tensor, index: _UnionIndex) -> nc.Tensor:
 
 
 class Workspace:
-    """Arrays that no-tape forward passes write into and reuse.
+    """Arrays that forward and backward passes write into and reuse.
 
     Each role, such as "features" for the stacked input rows, is one flat
     float64 buffer. ``take(role, rows, cols)`` returns a C-ordered
     [rows × cols] view of its first rows·cols entries and replaces the
     buffer only when a request outgrows it, so every buffer fits the
-    largest union served so far, for as long as the workspace lives. What
-    a pass returns is such a view, valid until the next pass that uses the
-    workspace. A workspace serves one thread at a time.
+    largest request served so far, for as long as the workspace lives.
+    ``child(key)`` is a workspace of its own with the same lifetime, for
+    arrays that must live beside this one's same-named roles, such as each
+    layer's on a tape. What a pass returns, and a tape it builds, are such
+    views, valid until the next pass that uses the workspace. A workspace
+    serves one thread at a time.
     """
 
     def __init__(self):
         self._flat = {}
+        self._children = {}
 
     def take(self, role: str, rows: int, cols: int) -> np.ndarray:
         size = rows * cols
@@ -286,6 +299,12 @@ class Workspace:
         if flat is None or flat.size < size:
             flat = self._flat[role] = np.empty(size)
         return flat[:size].reshape(rows, cols)
+
+    def child(self, key) -> Workspace:
+        scope = self._children.get(key)
+        if scope is None:
+            scope = self._children[key] = Workspace()
+        return scope
 
 
 def _take(work: Workspace | None, role: str, rows: int, cols: int):
@@ -300,8 +319,8 @@ def segment_sum(h: nc.Tensor, index: _UnionIndex,
         raise nc.DimensionError(
             f"state rows {h.rows} != union nodes {index.num_nodes}")
     pooled = _take(work, "pooled", len(index.sizes), h.cols)
-    return nc.op_node(index.pool(h.value, pooled), (h,),
-                      lambda g: (index.unpool(g),))
+    return nc.op_node(index.pool(h.value, pooled), (h,), lambda g: (
+        index.unpool(g, _take(work, "unpooled", h.rows, h.cols)),))
 
 
 def gin_layer_forward(layer: GINLayer, h: nc.Tensor, index: _UnionIndex,
@@ -311,10 +330,13 @@ def gin_layer_forward(layer: GINLayer, h: nc.Tensor, index: _UnionIndex,
     Sums run in the order of the equivalent chain of elementwise and matrix
     ops, so values and gradients match it bit for bit. The pre-activation
     is checked for non-finite entries before the ReLU can hide one. With a
-    workspace, which only a no-tape pass may pass, every [nodes × width]
-    array is one of its buffers; the result overwrites the "state" buffer,
-    so h may be the previous layer's result. The ReLU mask is made from
-    the activation by the backward rule, so a no-tape pass never makes it.
+    workspace, every [nodes × width] array of the forward pass and of the
+    backward rule is one of its buffers; the result overwrites the "state"
+    buffer, so on a no-tape pass h may be the previous layer's result. A
+    taped pass must give each layer a scope of its own (see
+    ``Workspace.child``), as its tape keeps every layer's arrays. The ReLU
+    mask is made from the activation by the backward rule, so a no-tape
+    pass never makes it.
     """
     hv, e = h.value, layer.eps.value[0, 0]
     w1, w2 = layer.w1.value, layer.w2.value
@@ -332,15 +354,20 @@ def gin_layer_forward(layer: GINLayer, h: nc.Tensor, index: _UnionIndex,
     out += layer.b2.value
 
     def rule(g):
-        gz = g @ w2.T  # the gradient at z
+        # the gradient at z
+        gz = np.matmul(g, w2.T, out=_take(work, "gz", rows, w1.shape[1]))
         gz *= r > 0.0  # the ReLU mask: r > 0 exactly where z > 0
-        gc = gz @ w1.T  # the gradient at combined
+        # the gradient at combined
+        gc = np.matmul(gz, w1.T, out=_take(work, "gc", rows, width))
         gw1, gb1 = combined.T @ gz, gz.sum(axis=0, keepdims=True)
-        del gz  # freed before the eps product makes a temporary
-        geps = np.array([[np.sum(gc * hv)]])
+        # gz is spent: its memory, or its buffer, takes the eps product and
+        # then the gradient at h, so a layer's backward holds two buffers
+        del gz
+        geps = np.array([[np.sum(
+            np.multiply(gc, hv, out=_take(work, "gz", rows, width)))]])
         gh = None
         if h.requires_grad:  # (neighbour sums of gc + gc) + e·gc
-            gh = index.neighbor(gc)
+            gh = index.neighbor(gc, _take(work, "gz", rows, width))
             gh += gc
             gc *= e  # its last use, so it is scaled in place
             gh += gc
@@ -358,12 +385,17 @@ def _stack_features(features, work: Workspace | None = None) -> np.ndarray:
     return np.concatenate(features, axis=0, out=stacked)
 
 
-def encode_batch(enc: EncoderParams, graphs) -> nc.Tensor:
-    """Representations for a batch of graphs, one row per graph, on the tape."""
+def encode_batch(enc: EncoderParams, graphs,
+                 work: Workspace | None = None) -> nc.Tensor:
+    """Representations for a batch of graphs, one row per graph, on the tape.
+
+    With a workspace, every array of the pass and of its backward rules is
+    one of its buffers, and the tape is valid until its next pass."""
     if not graphs:
         raise ValueError("cannot encode an empty batch")
     return _encode_union(enc, _UnionIndex(graphs),
-                         _stack_features([g.features for g in graphs]))
+                         _stack_features([g.features for g in graphs], work),
+                         work)
 
 
 def _encode_union(enc: EncoderParams, index: _UnionIndex,
@@ -371,23 +403,26 @@ def _encode_union(enc: EncoderParams, index: _UnionIndex,
                   work: Workspace | None = None) -> nc.Tensor:
     """``encode_batch`` on a union already indexed, its features stacked.
 
-    A no-tape caller may pass a workspace for every intermediate and the
-    result; see ``gin_layer_forward``.
+    A caller may pass a workspace for every intermediate and the result;
+    a taped pass gives each layer a child scope of it, a no-tape pass lets
+    the layers share its buffers (see ``gin_layer_forward``).
     """
     if features.shape[1] != enc.input_dim:
         raise nc.DimensionError(
             f"feature width {features.shape[1]} != encoder input "
             f"{enc.input_dim}")
+    per_layer = work is not None and nc.taping()
     h = nc.constant(features)
-    for layer in enc.layers:
-        h = gin_layer_forward(layer, h, index, work)
+    for i, layer in enumerate(enc.layers):
+        h = gin_layer_forward(layer, h, index,
+                              work.child(i) if per_layer else work)
     return segment_sum(h, index, work)
 
 
 def classify(clf: ClassifierParams, z: nc.Tensor,
              work: Workspace | None = None) -> nc.Tensor:
     """Class logits for a batch of representations, in the workspace's
-    "logits" buffer when a no-tape caller passes one."""
+    "logits" buffer when a caller passes one."""
     logits = nc.matmul(z, clf.w, out=_take(work, "logits", z.rows, clf.w.cols))
     return nc.add_bias(logits, clf.b,
                        out=None if work is None else logits.value)
@@ -418,19 +453,25 @@ def _predict_union(model: Model, index: _UnionIndex, features: np.ndarray,
 
 
 def weighted_prediction_step(model: Model, graphs, labels, weigh,
-                             optimizer: nc.Adam) -> nc.Tensor:
+                             optimizer: nc.Adam,
+                             work: Workspace | None = None) -> nc.Tensor:
     """One optimizer step on the weighted cross-entropy of a batch.
 
     The batch is encoded once and ``weigh(z.value)`` gives its weights; the
     same tape extends into the classifier and loss, so no second forward
     pass is needed. Returns the 1×1 loss, which holds the tape until it is
-    dropped. Any non-finite intermediate, also in ``weigh``, is reported
-    as divergence.
+    dropped. With a workspace, the tape's arrays and the backward rules'
+    are its buffers, so a step on a batch no larger than an earlier one
+    allocates nothing of union size; the tape, and ``z.value`` as ``weigh``
+    sees it, are then valid until the workspace's next pass. ``weigh`` may
+    use the workspace too, under roles or child scopes the pass does not
+    take. Any non-finite intermediate, also in ``weigh``, is reported as
+    divergence.
     """
     try:
-        z = encode_batch(model.encoder, graphs)
+        z = encode_batch(model.encoder, graphs, work)
         weights = weigh(z.value)
-        loss = nc.softmax_cross_entropy(classify(model.classifier, z),
+        loss = nc.softmax_cross_entropy(classify(model.classifier, z, work),
                                         labels, weights)
         nc.zero_grad(optimizer.params)
         nc.backward(loss)

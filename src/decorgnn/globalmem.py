@@ -79,9 +79,12 @@ def concat(memory: GlobalMemory, z_local: np.ndarray,
 
 def momentum_update(memory: GlobalMemory, z_local: np.ndarray,
                     w_local: np.ndarray) -> None:
-    """Pull every stored group of ``memory`` toward the current batch."""
+    """Pull every stored group of ``memory`` toward the current batch, in
+    place in its stored arrays."""
     z_local, w_local = _local(memory, z_local, w_local)
     gamma = memory.gammas[:, None]
-    memory.w_groups = gamma * memory.w_groups + (1.0 - gamma) * w_local
+    memory.w_groups *= gamma
+    memory.w_groups += (1.0 - gamma) * w_local
     gamma = gamma[:, :, None]
-    memory.z_groups = gamma * memory.z_groups + (1.0 - gamma) * z_local
+    memory.z_groups *= gamma
+    memory.z_groups += (1.0 - gamma) * z_local

@@ -14,7 +14,9 @@ Each batch takes one ``encoder.weighted_prediction_step``: it is encoded
 once, weighted, and stepped on. Representations are standardized per
 dimension (train-batch statistics) before weight optimization, which keeps
 the unit-bandwidth feature maps in a sensible operating range regardless
-of graph size.
+of graph size. The step, its weight solve and ``evaluate`` share one
+``encoder.Workspace`` per thread, so a warmed batch reuses the buffers of
+the last one instead of allocating its own.
 """
 
 from __future__ import annotations
@@ -183,8 +185,17 @@ def init_model(cfg: TrainConfig, feature_dim: int, num_classes: int) -> enc.Mode
 
 # Dataset -> {chunk: parts}, each entry as long-lived as its dataset (which
 # hashes by identity); and each thread's workspace, shared by every dataset
+# and by the training steps the thread runs
 _EVAL_CHUNKS = weakref.WeakKeyDictionary()
 _EVAL_LOCAL = threading.local()
+
+
+def _thread_workspace() -> enc.Workspace:
+    """The calling thread's workspace, made on its first use."""
+    work = getattr(_EVAL_LOCAL, "work", None)
+    if work is None:
+        work = _EVAL_LOCAL.work = enc.Workspace()
+    return work
 
 
 def _eval_chunks(dataset: Dataset, chunk: int) -> list:
@@ -233,17 +244,16 @@ def evaluate(model: enc.Model, dataset: Dataset,
     treated as immutable once evaluated.
 
     Each chunk's features are stacked into the calling thread's workspace,
-    where the forward pass runs without a tape. It serves every dataset:
-    its buffers grow to the largest chunk the thread has scored and live
-    as long as the thread, so a warmed call allocates nothing of chunk
-    size, and threads never share buffers.
+    where the forward pass runs without a tape. It serves every dataset
+    and the thread's training steps: its buffers grow to the largest chunk
+    or batch the thread has served and live as long as the thread, so a
+    warmed call allocates nothing of chunk size, and threads never share
+    buffers.
     """
     if not isinstance(chunk, (int, np.integer)) or chunk < 1:
         raise ValueError(f"chunk must be a positive integer, got {chunk!r}")
     parts = _eval_chunks(dataset, chunk)
-    work = getattr(_EVAL_LOCAL, "work", None)
-    if work is None:
-        work = _EVAL_LOCAL.work = enc.Workspace()
+    work = _thread_workspace()
     hits = 0
     for index, features, labels in parts:
         pred = enc._predict_union(
@@ -252,12 +262,13 @@ def evaluate(model: enc.Model, dataset: Dataset,
     return hits / len(dataset.graphs)
 
 
-def _reweight_batch(z_value, cfg, memory, epoch, batch_idx, stats):
+def _reweight_batch(z_value, cfg, memory, epoch, batch_idx, stats, work):
     """Optimize this batch's sample weights; returns (weights, objective).
 
     Stored memory groups enter the dependence objective with their weights
     frozen; only the current batch's entries move. Afterwards every stored
-    group is pulled toward the batch by its momentum factor.
+    group is pulled toward the batch by its momentum factor. The solve's
+    blocks live in the "solve" scope of the workspace ``work``.
     """
     z_std = _standardize(z_value)
     w_local = np.ones(z_value.shape[0])
@@ -278,7 +289,7 @@ def _reweight_batch(z_value, cfg, memory, epoch, batch_idx, stats):
         l2_lambda=cfg.l2_lambda, q=cfg.q, pair_fraction=cfg.pair_fraction,
         seed=_derived_seed([cfg.seed, _STREAM_BANKS, epoch, batch_idx]),
         free=free, linear=(cfg.mode == "linear_decorr"),
-        telemetry=check_constraints)
+        telemetry=check_constraints, work=work.child("solve"))
     w_new = result.weights[-len(w_local):]
     if memory is not None:
         gm.momentum_update(memory, z_std, w_new)
@@ -291,9 +302,13 @@ def _fit_epochs(model: enc.Model, train_set: Dataset, cfg: TrainConfig,
 
     Each value is yielded after the epoch's last optimizer step, so the
     caller may score the model before the next epoch starts. See ``train``
-    for the batching rules.
+    for the batching rules. Every step and weight solve runs in the calling
+    thread's workspace, which ``evaluate`` also uses: each step's tape is
+    dropped as soon as its loss is read, so the two never need the buffers
+    at once.
     """
     optimizer = nc.Adam(enc.parameters(model), lr=cfg.lr)
+    work = _thread_workspace()
     use_reweight = cfg.mode != "baseline_uniform"
     memory = None
     if use_reweight and cfg.k_groups > 0:
@@ -327,7 +342,7 @@ def _fit_epochs(model: enc.Model, train_set: Dataset, cfg: TrainConfig,
                 # still trains, just with its weight left at one
                 if use_reweight and len(idx) >= 2:
                     weights, objective = _reweight_batch(
-                        z_value, cfg, memory, epoch, batch_idx, stats)
+                        z_value, cfg, memory, epoch, batch_idx, stats, work)
                     objectives.append(objective)
                 else:
                     weights = np.ones(len(idx))
@@ -337,13 +352,12 @@ def _fit_epochs(model: enc.Model, train_set: Dataset, cfg: TrainConfig,
             try:
                 loss = enc.weighted_prediction_step(
                     model, [graphs[i] for i in idx], labels[idx], weigh,
-                    optimizer)
+                    optimizer, work=work)
             except enc.DivergenceError as err:
                 raise enc.DivergenceError(
                     f"epoch {epoch} batch {batch_idx}: {err}") from err
             losses.append(float(loss.value[0, 0]))
-            # drop the tape now, so it never sits beside the next step's;
-            # with the fused GIN layer this no longer slows the backward
+            # drop the tape now: the next step's pass overwrites its arrays
             del loss
 
         yield (float(np.mean(losses)),

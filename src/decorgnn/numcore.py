@@ -107,6 +107,12 @@ def no_tape():
         _TAPING.reset(token)
 
 
+def taping() -> bool:
+    """Whether operations record the tape here, that is, outside
+    ``no_tape()``."""
+    return _TAPING.get()
+
+
 def op_node(value: np.ndarray, parents: Sequence[Tensor],
             rule: Callable) -> Tensor:
     """Create an operation result node.
@@ -133,13 +139,6 @@ def matmul(a: Tensor, b: Tensor, out: np.ndarray | None = None) -> Tensor:
                    lambda g: (g @ bv.T, av.T @ g))
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum of two same-shape matrices."""
-    if a.shape != b.shape:
-        raise DimensionError(f"cannot add shapes {a.shape} and {b.shape}")
-    return op_node(a.value + b.value, (a, b), lambda g: (g, g))
-
-
 def add_bias(x: Tensor, bias: Tensor,
              out: np.ndarray | None = None) -> Tensor:
     """Add a 1×C bias row to every row of x. The only broadcast supported.
@@ -151,30 +150,6 @@ def add_bias(x: Tensor, bias: Tensor,
             f"bias shape {bias.shape} does not broadcast over {x.shape}")
     return op_node(np.add(x.value, bias.value, out=out), (x, bias),
                    lambda g: (g, g.sum(axis=0, keepdims=True)))
-
-
-def relu(x: Tensor) -> Tensor:
-    """Elementwise max(x, 0). Derivative is exactly zero at x == 0."""
-    mask = x.value > 0.0
-    return op_node(np.where(mask, x.value, 0.0), (x,),
-                   lambda g: (g * mask,))
-
-
-def smul(s: Tensor, x: Tensor) -> Tensor:
-    """Scale a matrix by a 1×1 tensor."""
-    if s.shape != (1, 1):
-        raise DimensionError(f"scale must be 1x1, got {s.shape}")
-    s00 = s.value[0, 0]
-    xv = x.value
-    return op_node(s00 * xv, (s, x),
-                   lambda g: (np.array([[np.sum(g * xv)]]), s00 * g))
-
-
-def sum_all(x: Tensor) -> Tensor:
-    """Sum of all entries, as a 1×1 tensor."""
-    shape = x.shape
-    return op_node(np.array([[x.value.sum()]]), (x,),
-                   lambda g: (np.full(shape, g[0, 0]),))
 
 
 def softmax_cross_entropy(logits: Tensor, labels, weights) -> Tensor:

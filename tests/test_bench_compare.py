@@ -2,6 +2,7 @@
 rule with the directions and bounds that BENCHMARK.json declares."""
 
 import importlib.util
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -45,3 +46,27 @@ def test_summary_flags_a_median_worse_than_its_bound():
     assert got["change_better_pairs"] == "2/2"
     assert got["bound"] is None and got["within_bound"] is None
     assert got["unresolved"] is None
+
+
+def test_process_counters_come_from_one_rusage_in_total_and_per_body():
+    bc = load_script()
+    usage = types.SimpleNamespace(ru_minflt=4000, ru_maxrss=51200,
+                                  ru_utime=12.5, ru_stime=0.75)
+    got = bc._process(usage, bodies=5)
+    assert got == {"process_minflt": 4000, "process_utime_s": 12.5,
+                   "process_stime_s": 0.75, "process_maxrss_mb": 50.0,
+                   "bodies": 5, "process_minflt_per_body": 800.0,
+                   "process_utime_s_per_body": 2.5,
+                   "process_stime_s_per_body": 0.15}
+    # a run in which no body finished has no per-body figures
+    got = bc._process(usage, bodies=0)
+    assert got["process_stime_s"] == 0.75
+    assert got["process_minflt_per_body"] is None
+    assert got["process_utime_s_per_body"] is None
+    assert got["process_stime_s_per_body"] is None
+    # the CPU times are unbounded counters, better lower
+    rules = bc._rules(ROOT)
+    summary = bc._summary([({"process_stime_s": 1.0}, {"process_stime_s": 0.5})],
+                          ["process_stime_s"], rules)["process_stime_s"]
+    assert summary["change_better_pairs"] == "1/1"
+    assert summary["bound"] is None

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from decorgnn import decorrelation as dc
+from decorgnn.encoder import Workspace
 
 
 def transcription_cov(zi, zj, w, f_bank, g_bank):
@@ -241,6 +243,47 @@ def test_optimize_weights_follows_the_public_stream_exactly(q, fraction, linear,
                           _raw_banks(np.random.default_rng(13), 6, q))
 
 
+def test_optimize_weights_in_a_reused_workspace_matches_fresh_buffers():
+    # every layout and setting of the stream test, one workspace for all,
+    # twice in opposite orders, so each solve meets buffers another shape
+    # grew and filled
+    cases = [(frozen, q, fraction, linear)
+             for frozen in ("memory", 0, 4, "scattered", "all_frozen")
+             for q in (1, 3) for fraction in (1.0, 0.5)
+             for linear in (False, True)]
+    work = Workspace()
+    for order in (cases, cases[::-1]):
+        for frozen, q, fraction, linear in order:
+            z, w0, free = _stream_case(frozen)
+            settings = dict(steps=4, lr_w=0.05, l2_lambda=0.1, q=q,
+                            pair_fraction=fraction, seed=17, free=free,
+                            linear=linear)
+            want = dc.optimize_weights(z, w0, **settings)
+            got = dc.optimize_weights(z, w0, work=work, **settings)
+            assert np.array_equal(got.weights, want.weights)
+            assert got.objectives == want.objectives
+
+
+def test_a_warmed_memory_solve_allocates_nothing_of_its_size():
+    z, w0, free = _stream_case("memory")
+    q = 3
+    settings = dict(steps=5, lr_w=0.05, l2_lambda=0.1, q=q, pair_fraction=1.0,
+                    seed=19, free=free, work=Workspace())
+    tracemalloc.start()
+    try:
+        dc.optimize_weights(z, w0, **settings)  # grows the workspace
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        dc.optimize_weights(z, w0, **settings)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Nothing as large as the [N × 2·d·q] map block may be allocated, so
+    # the peak rises by less than one. numpy's own iterator buffers, at
+    # most 8192 entries each, are what remains.
+    assert peak - before < z.size * 2 * q * 8
+
+
 def _reference_objective(w, f, g, mask, l2_lambda):
     """The per-step objective and gradient as first written: fresh centred
     blocks, a masked copy of C and one product per gradient term."""
@@ -253,6 +296,44 @@ def _reference_objective(w, f, g, mask, l2_lambda):
     term1 = ((f @ cm) * b).sum(axis=1)
     term2 = ((a @ cm) * g).sum(axis=1)
     return objective, (2.0 / (w.size - 1)) * (term1 + term2) + 2.0 * l2_lambda * w
+
+
+def _reference_maps(z, fields):
+    """The f and g maps as the solve first built them, one fresh array each:
+    a [2 × N × d × q] temporary split in two."""
+    if fields is None:
+        return z, z
+    freqs, phases = np.transpose(fields, (2, 1, 0, 3))[:, :, None]
+    f, g = np.sqrt(2.0) * np.cos(z[:, :, None] * freqs + phases)
+    return f.reshape(z.shape[0], -1), g.reshape(z.shape[0], -1)
+
+
+def _objective_case(rng, n, frozen, d, q, fraction, linear):
+    """(z, fields, mask, weight draws) for one objective shape; every draw
+    holds the first ``frozen`` weights at one."""
+    z = rng.standard_normal((n, d))
+    fields = None if linear else dc._draw(rng, (d, 2), q)
+    mask = dc._mask(*dc._pair_index(d, fraction, rng), d, 1 if linear else q)
+    draws = [np.ones(n)] + [np.concatenate([np.ones(frozen),
+                                            rng.uniform(0.2, 3.0, n - frozen)])
+                            for _ in range(3)]
+    return z, fields, mask, draws
+
+
+def _check_workspace_solve(work, z, fields, mask, draws, head_rows):
+    """A problem built as a solve builds it, in ``work``, with the first
+    ``head_rows`` weights frozen, against the reference on every draw."""
+    f, g = _reference_maps(z, fields)
+    head = draws[-1][:head_rows]
+    problem = dc._Problem(dc._maps(z, fields, work), mask, 0.3,
+                          rows=np.arange(head_rows, len(z)), head=head,
+                          work=work)
+    for w in draws + draws[::-1]:
+        w = np.concatenate([head, w[head_rows:]])
+        want_obj, want_grad = _reference_objective(w, f, g, mask, 0.3)
+        got_obj, got_grad = problem(w, True)
+        assert got_obj == want_obj
+        assert np.array_equal(got_grad, want_grad[head_rows:])
 
 
 @pytest.mark.parametrize("n, frozen, d, q, fraction, linear", [
@@ -270,17 +351,14 @@ def test_workspace_matches_the_reference_objective_bit_for_bit(n, frozen, d, q,
     # is independent of the row count, so it is pinned on workload shapes,
     # for a contiguous tail (the memory layout) and a scattered row set.
     rng = np.random.default_rng(47)
-    z = rng.standard_normal((n, d))
-    fields = None if linear else dc._draw(rng, (d, 2), q)
-    f, g = dc._maps(z, fields)
-    width = 1 if linear else q
-    mask = dc._mask(*dc._pair_index(d, fraction, rng), d, width)
-    problem = dc._Problem(f, g, mask, 0.3)
-    subsets = [(rows, dc._Problem(f, g, mask, 0.3, rows=rows))
+    z, fields, mask, draws = _objective_case(rng, n, frozen, d, q, fraction,
+                                             linear)
+    f, g = _reference_maps(z, fields)
+    fg = dc._maps(z, fields)
+    assert np.array_equal(fg, np.concatenate([f, g], axis=1))
+    problem = dc._Problem(fg, mask, 0.3)
+    subsets = [(rows, dc._Problem(fg, mask, 0.3, rows=rows))
                for rows in (np.arange(n - n // 3, n), np.arange(1, n, 3))]
-    draws = [np.ones(n)] + [np.concatenate([np.ones(frozen),
-                                            rng.uniform(0.2, 3.0, n - frozen)])
-                            for _ in range(3)]
     for w in draws + draws[::-1]:  # revisits catch state left in a buffer
         want_obj, want_grad = _reference_objective(w, f, g, mask, 0.3)
         got_obj, got_grad = problem(w, True)
@@ -291,6 +369,17 @@ def test_workspace_matches_the_reference_objective_bit_for_bit(n, frozen, d, q,
             got_obj, got_grad = restricted(w, True)
             assert got_obj == want_obj
             assert np.array_equal(got_grad, want_grad[rows])
+
+    # Solves in one workspace, with a frozen head weighted and folded once,
+    # alternating with a solve of another shape: a buffer left longer than
+    # the next solve needs, or holding the last solve's values, must not
+    # show. The head's fold is exact only if numpy's axis-0 sum is a left
+    # fold over rows, which this pins on every shape.
+    other = _objective_case(rng, n // 2 + 5, 0, d // 2, q, fraction, linear)
+    work = Workspace()
+    for _ in range(2):
+        _check_workspace_solve(work, z, fields, mask, draws, frozen or n // 3)
+        _check_workspace_solve(work, *other, head_rows=7)
 
 
 @pytest.mark.parametrize("q", [1, 3])
@@ -559,6 +648,24 @@ def test_permutation_threshold_matches_a_fancy_index_reference():
     for _ in range(50):
         p = perm_rng.permutation(64)
         null.append(np.vdot(kc, l[np.ix_(p, p)]) / 64 ** 2)
+    assert stat == dc.hsic_gaussian(x, y)
+    assert threshold == float(np.quantile(null, 0.95))
+
+
+@pytest.mark.parametrize("seed", [3, 8, 21])
+def test_permutation_null_matches_the_two_take_gather_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(48)
+    y = np.sin(2 * x) + 0.5 * rng.standard_normal(48)
+    stat, threshold = dc.hsic_permutation_threshold(x, y, shuffles=40,
+                                                    rng_seed=seed)
+    kc = dc._center(dc._gaussian_kernel(x, None))
+    l = dc._gaussian_kernel(y, None)
+    perm_rng = np.random.default_rng(seed)
+    null = np.empty(40)
+    for s in range(40):
+        p = perm_rng.permutation(48)
+        null[s] = np.vdot(kc, l.take(p, 0).take(p, 1)) / 48 ** 2
     assert stat == dc.hsic_gaussian(x, y)
     assert threshold == float(np.quantile(null, 0.95))
 

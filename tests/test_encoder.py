@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from decorgnn import numcore as nc
 from decorgnn.graphdata import (Graph, adjacency_matrix, gen_random_graph,
                                 gen_triangles_dataset, one_hot_degree_features,
                                 permute_graph)
+from tape_ops import add, relu, smul, sum_all
 
 
 def make_model(input_dim, hidden_dim, num_layers, num_classes, seed=0):
@@ -202,9 +205,9 @@ def test_neighbor_sum_gradient_on_a_mixed_union():
 def unfused_layer(layer, h, index, work=None):
     """The layer as a chain of elementwise and matrix ops, each its own node."""
     assert work is None  # the taped path passes no workspace
-    combined = nc.add(nc.add(h, nc.smul(layer.eps, h)),
-                      enc_mod.neighbor_sum(h, index))
-    z = nc.relu(nc.add_bias(nc.matmul(combined, layer.w1), layer.b1))
+    combined = add(add(h, smul(layer.eps, h)),
+                   enc_mod.neighbor_sum(h, index))
+    z = relu(nc.add_bias(nc.matmul(combined, layer.w1), layer.b1))
     return nc.add_bias(nc.matmul(z, layer.w2), layer.b2)
 
 
@@ -250,8 +253,8 @@ def test_every_rule_returns_one_gradient_per_parent():
     a, c = (nc.Tensor(rng.normal(size=(3, 4))) for _ in range(2))
     b = nc.Tensor(rng.normal(size=(4, 2)))
     bias = nc.Tensor(rng.normal(size=(1, 4)))
-    nodes = [nc.matmul(a, b), nc.add(a, c), nc.add_bias(a, bias), nc.relu(a),
-             nc.smul(nc.Tensor([[0.7]]), a), nc.sum_all(a),
+    nodes = [nc.matmul(a, b), add(a, c), nc.add_bias(a, bias), relu(a),
+             smul(nc.Tensor([[0.7]]), a), sum_all(a),
              nc.softmax_cross_entropy(a, [0, 3, 1], [1.0, 0.5, 2.0]),
              enc_mod.neighbor_sum(h, index), enc_mod.segment_sum(h, index),
              enc_mod.gin_layer_forward(layer, h, index),
@@ -305,6 +308,109 @@ def test_a_workspace_forward_matches_the_fresh_one_bit_for_bit():
             assert np.array_equal(
                 enc_mod._predict_union(model, index, features, work),
                 enc_mod.predict(model, graphs))
+
+
+def _step_batches():
+    """Three training batches: shuffled mixed sizes (dense stacks and degree
+    buckets), a small one, and the first again."""
+    mixed = [Graph(g.num_nodes, g.edges,
+                   np.random.default_rng(g.num_nodes).normal(
+                       size=(g.num_nodes, 8)), 0)
+             for g in mixed_union(seed=41)]
+    small = sample_graphs(5, seed=42)
+    return [mixed, small, mixed]
+
+
+def test_a_workspace_step_matches_the_fresh_step_bit_for_bit():
+    batches = _step_batches()
+    runs = []
+    for work in (None, enc_mod.Workspace()):
+        model = make_model(8, 6, 3, 4, seed=15)
+        for i, layer in enumerate(model.encoder.layers):
+            layer.eps.value = np.array([[0.2 - 0.15 * i]])
+        params = enc_mod.parameters(model)
+        opt = nc.Adam(params, lr=0.01)
+        seen = []
+        for graphs in batches:
+            labels = np.arange(len(graphs)) % 4
+            weights = np.linspace(0.5, 1.5, len(graphs))
+
+            def weigh(z_value):
+                seen.append(z_value.copy())
+                return weights
+
+            loss = enc_mod.weighted_prediction_step(
+                model, graphs, labels, weigh, opt, work=work)
+            seen.append(loss.value.copy())
+            seen.extend(p.grad.copy() for p in params)
+            seen.extend(p.value.copy() for p in params)
+        runs.append(seen)
+    fresh, reused = runs
+    assert len(fresh) == len(reused)
+    for want, got in zip(fresh, reused):
+        assert np.array_equal(got, want)
+
+
+def test_a_workspace_tape_backpropagates_twice_and_dies_at_the_next_pass():
+    graphs, small, _ = _step_batches()
+    labels = np.arange(len(graphs)) % 4
+    weights = np.linspace(0.5, 1.5, len(graphs))
+    model = make_model(8, 6, 3, 4, seed=16)
+    params = enc_mod.parameters(model)
+    grads = []
+    for work in (None, enc_mod.Workspace()):
+        nc.zero_grad(params)
+        z = enc_mod.encode_batch(model.encoder, graphs, work)
+        loss = nc.softmax_cross_entropy(
+            enc_mod.classify(model.classifier, z, work), labels, weights)
+        nc.backward(loss)
+        once = [p.grad.copy() for p in params]
+        nc.backward(loss)  # the second pass rewrites every scratch buffer
+        grads.append((once, [p.grad for p in params]))
+    (fresh_once, fresh_twice), (once, twice) = grads
+    for got, want in zip(once + twice, fresh_once + fresh_twice):
+        assert np.array_equal(got, want)
+    for one, two in zip(once, twice):
+        assert np.array_equal(two, one + one)
+
+    # a tape is valid until the workspace's next pass, which overwrites it
+    first = z.value.copy()
+    again = enc_mod.encode_batch(model.encoder, small, work)
+    assert np.shares_memory(z.value, again.value)
+    assert not np.array_equal(z.value[:len(small)], first[:len(small)])
+
+
+def test_a_warmed_step_allocates_nothing_of_union_size():
+    graphs = sample_graphs(64, seed=43, min_nodes=8, max_nodes=16)
+    labels = np.arange(64) % 4
+    model = make_model(8, 64, 2, 4, seed=17)
+    opt = nc.Adam(enc_mod.parameters(model), lr=0.01)
+    work = enc_mod.Workspace()
+    rng = np.random.default_rng(5)
+
+    def step():
+        batch = [graphs[i] for i in rng.permutation(64)]  # shuffled unions
+        loss = enc_mod.weighted_prediction_step(
+            model, batch, labels, lambda _: np.ones(64), opt, work=work)
+        return float(loss.value[0, 0])
+
+    tracemalloc.start()
+    try:
+        step()  # grows the workspace
+        # dropped now, so that freeing them cannot offset what the step holds
+        nc.zero_grad(opt.params)
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Nothing as large as one [union rows × hidden] array may be allocated,
+    # so the peak rises by less than one; a fresh tape holds five. What
+    # remains is the batch's union index, numpy's iterator buffers (at most
+    # 8192 entries each) and parameter-sized gradients.
+    rows = sum(g.num_nodes for g in graphs)
+    assert peak - before < rows * 64 * 8
 
 
 def test_fused_layer_raises_on_a_pre_activation_the_relu_would_hide():

@@ -120,6 +120,7 @@ def test_momentum_update_matches_the_per_group_loop_bit_for_bit():
     # reference: one list entry per group, updated one group at a time
     z_ref = [z.copy() for z in mem.z_groups]
     w_ref = [w.copy() for w in mem.w_groups]
+    stored = mem.z_groups, mem.w_groups
     for _ in range(5):
         z_local = rng.normal(size=(5, 7))
         w_local = rng.uniform(0.5, 2.0, size=5)
@@ -132,6 +133,8 @@ def test_momentum_update_matches_the_per_group_loop_bit_for_bit():
         z_hat, w_hat = gm.concat(mem, z_local, w_local)
         assert np.array_equal(z_hat, np.concatenate([*z_ref, z_local]))
         assert np.array_equal(w_hat, np.concatenate([*w_ref, w_local]))
+    # the update works in place in the stored arrays
+    assert stored[0] is mem.z_groups and stored[1] is mem.w_groups
 
 
 def test_memory_rejects_mismatched_groups():

@@ -14,7 +14,7 @@ from decorgnn import decorrelation as dc
 from decorgnn import encoder as enc
 from decorgnn import harness as hn
 from decorgnn import numcore as nc
-from decorgnn.fileio import DataFormatError, atomic_write_text
+from decorgnn.fileio import DataFormatError, atomic_write_text, is_number_list
 from decorgnn.graphdata import (Dataset, DatasetError, Graph, SplitSpec,
                                 apply_split, gen_triangles_dataset)
 
@@ -103,7 +103,7 @@ def test_train_takes_one_prediction_step_per_batch(size_split, monkeypatch):
     step = enc.weighted_prediction_step
     calls = []
 
-    def counting(model, graphs, labels, weigh, optimizer):
+    def counting(model, graphs, labels, weigh, optimizer, work=None):
         encoded = enc.encode_batch(model.encoder, graphs).value
         seen = []
 
@@ -111,7 +111,7 @@ def test_train_takes_one_prediction_step_per_batch(size_split, monkeypatch):
             seen.append(np.array_equal(z_value, encoded))
             return weigh(z_value)
 
-        loss = step(model, graphs, labels, checked, optimizer)
+        loss = step(model, graphs, labels, checked, optimizer, work=work)
         calls.append(seen)
         return loss
 
@@ -577,6 +577,15 @@ def test_checkpoint_round_trip(size_split, tmp_path):
     for name, tensor in enc.named_parameters(model).items():
         assert np.array_equal(tensor.value,
                               enc.named_parameters(loaded)[name].value)
+
+
+@pytest.mark.parametrize("values, verdict", [
+    ([], True), ([True], False), (["1"], False), ([None], False),
+    ([[1]], False), ([1, 2.5], True), ([1.0, False], False),
+    ((1, 2.5), False),  # a JSON array loads as a list, never a tuple
+])
+def test_is_number_list_takes_exact_ints_and_floats_only(values, verdict):
+    assert is_number_list(values) is verdict
 
 
 def test_checkpoint_rejects_bad_shapes(size_split, tmp_path):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from decorgnn import numcore as nc
+from tape_ops import add, relu, smul, sum_all
 
 
 def test_matmul_known_product():
@@ -28,7 +29,7 @@ def test_matmul_backward_rule():
     rng = np.random.default_rng(7)
     a = nc.Tensor(rng.standard_normal((3, 4)))
     b = nc.Tensor(rng.standard_normal((4, 2)))
-    out = nc.sum_all(nc.matmul(a, b))
+    out = sum_all(nc.matmul(a, b))
     nc.backward(out)
     ones = np.ones((3, 2))
     assert np.allclose(a.grad, ones @ b.value.T, atol=1e-12)
@@ -40,7 +41,7 @@ def test_matmul_backward_matches_finite_differences():
     b_val = rng.standard_normal((4, 2))
 
     def f(x):
-        return nc.sum_all(nc.matmul(x, nc.constant(b_val)))
+        return sum_all(nc.matmul(x, nc.constant(b_val)))
 
     err = nc.grad_check(f, rng.standard_normal((3, 4)), step=1e-5)
     assert err < 1e-4
@@ -48,7 +49,7 @@ def test_matmul_backward_matches_finite_differences():
 
 def test_relu_gradient_is_zero_at_exact_zero():
     x = nc.Tensor([[0.0, -1.5, 2.0]])
-    out = nc.sum_all(nc.relu(x))
+    out = sum_all(relu(x))
     nc.backward(out)
     assert np.array_equal(x.grad, [[0.0, 0.0, 1.0]])
 
@@ -59,7 +60,7 @@ def test_relu_finite_differences_away_from_kink():
     x[np.abs(x) < 0.05] = 0.1  # keep clear of the kink for central differences
 
     def f(t):
-        return nc.sum_all(nc.relu(t))
+        return sum_all(relu(t))
 
     assert nc.grad_check(f, x) < 1e-6
 
@@ -69,7 +70,7 @@ def test_add_bias_broadcast_and_gradients():
     b = nc.Tensor([[10.0, 20.0]])
     out = nc.add_bias(x, b)
     assert np.array_equal(out.value, [[11.0, 22.0], [13.0, 24.0], [15.0, 26.0]])
-    nc.backward(nc.sum_all(out))
+    nc.backward(sum_all(out))
     assert np.array_equal(x.grad, np.ones((3, 2)))
     assert np.array_equal(b.grad, [[3.0, 3.0]])  # one per row
 
@@ -85,7 +86,7 @@ def test_smul_gradients():
     xv = rng.standard_normal((3, 3))
     s = nc.Tensor([[2.5]])
     x = nc.Tensor(xv)
-    nc.backward(nc.sum_all(nc.smul(s, x)))
+    nc.backward(sum_all(smul(s, x)))
     assert np.allclose(s.grad, [[xv.sum()]])
     assert np.allclose(x.grad, np.full((3, 3), 2.5))
 
@@ -137,13 +138,13 @@ def test_backward_shared_subexpression_counted_once_per_path():
     rng = np.random.default_rng(31)
     xv = rng.standard_normal((3, 3)) + 2.0  # strictly positive
     x = nc.Tensor(xv)
-    shared = nc.relu(x)
-    nc.backward(nc.sum_all(nc.add(shared, shared)))
+    shared = relu(x)
+    nc.backward(sum_all(add(shared, shared)))
     grad_shared = x.grad
 
     # Same computation with the subexpression literally duplicated.
     x2 = nc.Tensor(xv)
-    nc.backward(nc.sum_all(nc.add(nc.relu(x2), nc.relu(x2))))
+    nc.backward(sum_all(add(relu(x2), relu(x2))))
     assert np.array_equal(grad_shared, x2.grad)
     assert np.array_equal(grad_shared, np.full((3, 3), 2.0))
 
@@ -154,9 +155,9 @@ def test_backward_gives_grad_to_leaves_only():
     wv = rng.standard_normal((3, 2))
     x, w = nc.Tensor(xv), nc.Tensor(wv)
     h = nc.matmul(x, w)  # shared: read directly and through relu
-    r = nc.relu(h)
-    both = nc.add(r, h)
-    loss = nc.add(nc.sum_all(both), nc.sum_all(nc.matmul(x, w)))
+    r = relu(h)
+    both = add(r, h)
+    loss = add(sum_all(both), sum_all(nc.matmul(x, w)))
     nc.backward(loss)
     for node in (h, r, both, loss):
         assert node.grad is None
@@ -168,12 +169,12 @@ def test_backward_gives_grad_to_leaves_only():
 def test_backward_rejects_nonscalar_root():
     x = nc.Tensor(np.ones((2, 2)))
     with pytest.raises(nc.ContractError):
-        nc.backward(nc.relu(x))
+        nc.backward(relu(x))
 
 
 def test_backward_accumulates_until_reset():
     x = nc.Tensor(np.ones((2, 2)))
-    out = nc.sum_all(x)
+    out = sum_all(x)
     nc.backward(out)
     nc.backward(out)
     assert np.array_equal(x.grad, np.full((2, 2), 2.0))
@@ -183,7 +184,7 @@ def test_backward_accumulates_until_reset():
 
 def test_grad_check_on_linear_function_is_tiny():
     rng = np.random.default_rng(2)
-    assert nc.grad_check(nc.sum_all, rng.uniform(-1, 1, (3, 3))) < 1e-10
+    assert nc.grad_check(sum_all, rng.uniform(-1, 1, (3, 3))) < 1e-10
 
 
 def test_grad_check_tolerates_roundoff_on_tiny_gradients():
@@ -209,7 +210,7 @@ def test_grad_check_still_sees_a_backward_rule_off_by_a_thousandth():
     def f(x):
         out = nc.op_node(x.value @ b_val, (x,),
                          lambda g: (1.001 * g @ b_val.T,))
-        return nc.sum_all(out)
+        return sum_all(out)
 
     assert nc.grad_check(f, rng.standard_normal((3, 4))) >= 9e-4
 
@@ -218,20 +219,20 @@ def test_a_rule_returning_too_few_gradients_makes_backward_raise():
     a, b = nc.Tensor(np.ones((2, 2))), nc.Tensor(np.ones((2, 2)))
     out = nc.op_node(a.value + b.value, (a, b), lambda g: (g,))
     with pytest.raises(ValueError):
-        nc.backward(nc.sum_all(out))
+        nc.backward(sum_all(out))
 
 
 def test_gradients_skip_constants():
     c = nc.constant(np.ones((2, 2)))
     x = nc.Tensor(np.ones((2, 2)))
-    nc.backward(nc.sum_all(nc.matmul(c, x)))
+    nc.backward(sum_all(nc.matmul(c, x)))
     assert c.grad is None
     assert x.grad is not None
 
 
 def test_ops_over_constants_keep_no_parents():
     a = nc.constant(np.ones((2, 3)))
-    out = nc.relu(nc.matmul(a, nc.constant(np.ones((3, 2)))))
+    out = relu(nc.matmul(a, nc.constant(np.ones((3, 2)))))
     assert not out.requires_grad
     assert out._parents == () and out._backward is None
     w = nc.Tensor(np.ones((3, 2)))
@@ -243,21 +244,24 @@ def test_no_tape_returns_parentless_constants_and_restores_the_mode():
     w = nc.Tensor([[1.0, -2.0]])
     x = nc.constant([[3.0], [4.0]])
     with nc.no_tape():
-        out = nc.relu(nc.matmul(x, w))
-        loss = nc.sum_all(out)
+        out = relu(nc.matmul(x, w))
+        loss = sum_all(out)
     assert np.array_equal(out.value, [[3.0, 0.0], [4.0, 0.0]])
     for node in (out, loss):
         assert not node.requires_grad and node._parents == ()
     nc.backward(loss)
     assert w.grad is None
 
+    assert nc.taping()
     with pytest.raises(RuntimeError, match="inside"):
         with nc.no_tape():
             with nc.no_tape():
                 pass
+            assert not nc.taping()
             assert not nc.matmul(x, w).requires_grad
             raise RuntimeError("inside")
-    nc.backward(nc.sum_all(nc.matmul(x, w)))
+    assert nc.taping()
+    nc.backward(sum_all(nc.matmul(x, w)))
     assert np.array_equal(w.grad, [[7.0, 7.0]])
 
 
@@ -270,7 +274,7 @@ def test_composite_mlp_gradient_check():
     weights = rng.uniform(0.5, 1.5, 5)
 
     def net(x):
-        h = nc.relu(nc.add_bias(nc.matmul(x, nc.constant(w1)), nc.constant(b1)))
+        h = relu(nc.add_bias(nc.matmul(x, nc.constant(w1)), nc.constant(b1)))
         return nc.softmax_cross_entropy(
             nc.matmul(h, nc.constant(w2)), labels, weights)
 
@@ -293,7 +297,7 @@ def test_adam_with_zero_weights_leaves_parameters_unchanged():
 def test_adam_moves_parameters_against_gradient():
     w = nc.Tensor([[1.0, -1.0]])
     opt = nc.Adam([w], lr=0.1)
-    nc.backward(nc.sum_all(w))
+    nc.backward(sum_all(w))
     opt.step()
     assert w.value[0, 0] < 1.0 and w.value[0, 1] < -1.0
 
