@@ -12,15 +12,14 @@ There is one forward implementation. A caller may hand it a
 ``Workspace``, and the stacked features, every intermediate, the pooled
 rows and the logits are then written into its buffers, which grow to the
 largest union they serve and live as long as the caller keeps the
-workspace. A no-tape pass lets every layer share one set of buffers; a
-taped pass gives each layer a child scope, since its tape keeps every
-layer's arrays, and the layer's backward rule writes its [nodes × width]
-gradients into the same scope. A tape built in a workspace is valid until
-that workspace's next pass, which overwrites it. Without a workspace
-every array is fresh. ``harness.evaluate`` and the training
-steps of ``harness.train`` share one workspace per thread, and evaluation
-caps its chunks at ``harness.EVAL_ROWS`` union rows so the buffers stay
-small on large graphs.
+workspace. Each layer gets a child scope of its own, since a tape keeps
+every layer's arrays, and the layer's backward rule writes its
+[nodes × width] gradients into the same scope. A tape built in a workspace
+is valid until that workspace's next pass, which overwrites it. Without a
+workspace every array is fresh. ``harness.evaluate`` and the training
+steps of ``harness.train`` share one workspace per thread, so its buffers
+grow to the larger of the training batch unions and the evaluation
+chunks, which hold at most ``harness.EVAL_ROWS`` union rows.
 
 Batches are encoded as one disjoint union: node features are stacked and
 per-graph sums taken over contiguous node segments, so a batch needs one
@@ -331,12 +330,10 @@ def gin_layer_forward(layer: GINLayer, h: nc.Tensor, index: _UnionIndex,
     ops, so values and gradients match it bit for bit. The pre-activation
     is checked for non-finite entries before the ReLU can hide one. With a
     workspace, every [nodes × width] array of the forward pass and of the
-    backward rule is one of its buffers; the result overwrites the "state"
-    buffer, so on a no-tape pass h may be the previous layer's result. A
-    taped pass must give each layer a scope of its own (see
-    ``Workspace.child``), as its tape keeps every layer's arrays. The ReLU
-    mask is made from the activation by the backward rule, so a no-tape
-    pass never makes it.
+    backward rule is one of its buffers, so each layer needs a scope of its
+    own (see ``Workspace.child``), as a tape keeps every layer's arrays.
+    The ReLU mask is made from the activation by the backward rule, so a
+    no-tape pass never makes it.
     """
     hv, e = h.value, layer.eps.value[0, 0]
     w1, w2 = layer.w1.value, layer.w2.value
@@ -404,18 +401,16 @@ def _encode_union(enc: EncoderParams, index: _UnionIndex,
     """``encode_batch`` on a union already indexed, its features stacked.
 
     A caller may pass a workspace for every intermediate and the result;
-    a taped pass gives each layer a child scope of it, a no-tape pass lets
-    the layers share its buffers (see ``gin_layer_forward``).
+    each layer gets a child scope of it (see ``gin_layer_forward``).
     """
     if features.shape[1] != enc.input_dim:
         raise nc.DimensionError(
             f"feature width {features.shape[1]} != encoder input "
             f"{enc.input_dim}")
-    per_layer = work is not None and nc.taping()
     h = nc.constant(features)
     for i, layer in enumerate(enc.layers):
         h = gin_layer_forward(layer, h, index,
-                              work.child(i) if per_layer else work)
+                              None if work is None else work.child(i))
     return segment_sum(h, index, work)
 
 

@@ -45,9 +45,9 @@ ALLOWED_LRS = (1e-4, 1e-3)
 PROBE_EPOCHS = 12
 PROBE_HOLDOUT = 0.1
 EVAL_CHUNK = 64
-# union rows per evaluation chunk: the thread's workspace grows to the
-# largest chunk, so this cap bounds evaluation's share of the training peak
-# (see evaluate for why 512)
+# union rows per evaluation chunk. The thread's workspace also serves the
+# training steps, so its size is set by the larger of this cap and the
+# largest training batch union (see evaluate for why 512)
 EVAL_ROWS = 512
 VOLATILE_FIELDS = ("wall_seconds", "timestamp")
 # summary fields `decorgnn report` prints; load_results checks them
@@ -231,24 +231,26 @@ def evaluate(model: enc.Model, dataset: Dataset,
     node-count order (a stable sort), so graphs of one size share a chunk
     and each size's adjacency stack is one contiguous row range. A chunk
     also holds at most ``EVAL_ROWS`` (512) union rows, and a larger graph
-    is encoded alone. The cap bounds the workspace below, which is alive
-    at the training peak: 512 rows hold it to a quarter of what 2048 did.
-    On the size-shift data (500 graphs of 5-16 nodes, one BLAS thread),
-    scoring train and test took 13.2 ms at 2048 rows and at 512, and 10%
-    more at 256, where the per-chunk work starts to show. Accuracy is a
-    count of hits, so the order moves no result. Each chunk's union index,
-    labels and references to its graphs' feature arrays are built on the
-    first call for a (dataset, chunk) pair and kept until the dataset is
-    garbage-collected; later calls, such as the per-epoch scoring in
-    ``train``, run only the forward pass. A dataset's graphs are therefore
-    treated as immutable once evaluated.
+    is encoded alone. On the size-shift data (500 graphs of 5-16 nodes,
+    one BLAS thread), scoring train and test took 13.2 ms at 2048 rows and
+    at 512, and 10% more at 256, where the per-chunk work starts to show.
+    Accuracy is a count of hits, so the order moves no result. Each
+    chunk's union index, labels and references to its graphs' feature
+    arrays are built on the first call for a (dataset, chunk) pair and
+    kept until the dataset is garbage-collected; later calls, such as the
+    per-epoch scoring in ``train``, run only the forward pass. A dataset's
+    graphs are therefore treated as immutable once evaluated.
 
     Each chunk's features are stacked into the calling thread's workspace,
     where the forward pass runs without a tape. It serves every dataset
-    and the thread's training steps: its buffers grow to the largest chunk
-    or batch the thread has served and live as long as the thread, so a
-    warmed call allocates nothing of chunk size, and threads never share
-    buffers.
+    and the thread's training steps, and its buffers grow to the largest
+    chunk or batch union the thread has served. So the cap bounds only
+    what evaluation adds: on a thread that trains, the training batches
+    set the workspace's size (on large graphs, far more than 512 rows),
+    and every layer's buffers, the step's backward scratch and the weight
+    solve's blocks stay resident after ``train`` returns, for as long as
+    the thread lives. A warmed call allocates nothing of chunk size, and
+    threads never share buffers.
     """
     if not isinstance(chunk, (int, np.integer)) or chunk < 1:
         raise ValueError(f"chunk must be a positive integer, got {chunk!r}")

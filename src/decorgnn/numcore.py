@@ -107,12 +107,6 @@ def no_tape():
         _TAPING.reset(token)
 
 
-def taping() -> bool:
-    """Whether operations record the tape here, that is, outside
-    ``no_tape()``."""
-    return _TAPING.get()
-
-
 def op_node(value: np.ndarray, parents: Sequence[Tensor],
             rule: Callable) -> Tensor:
     """Create an operation result node.
