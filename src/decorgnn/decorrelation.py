@@ -196,45 +196,39 @@ def _setup(z, weights, banks, pairs):
 
 class _Problem:
     """One objective's buffers, allocated once: w -> ||M∘C(w)||² + λ||w||²
-    and, if asked, its gradient in the weights of ``rows`` (all by default).
+    and, if asked, its gradient in the free weights.
 
     C(w) = AᵀB/(N-1) with [A | B] = centred(w*[F | G]) is
     weighted_partial_cov for every pair at once; one pass weights and
     centres both halves of the [N × 2W] block ``fg`` = [F | G], which the
     problem reads and never writes. Every row shapes C, but a solve moves
-    only its free weights, so the gradient is taken for ``rows`` alone:
-    the stacks FA = [F_r; A_r] and BG = [B_r; G_r] give both gradient terms
-    of those rows from one product FA @ C.
+    only its free weights, the rows from ``lo`` on, so the gradient is
+    taken for those alone: the stacks FA = [F_r; A_r] and BG = [B_r; G_r]
+    give both gradient terms of those rows from one product FA @ C.
 
-    ``head``, when given, holds the weights of the rows before ``rows``,
-    which must then be every row from ``len(head)`` on: the frozen stored
-    groups of a memory batch. Those rows are weighted once, and their
-    column sum folded once; numpy sums a C-ordered block over axis 0 as a
-    left fold, row after row, so continuing that fold over the free rows
-    gives the bits of the whole sum. With a workspace ``work``, every block
-    is one of its buffers, valid until its next use.
+    ``head``, when given, holds the weights of the first ``lo`` rows, the
+    frozen ones (the stored groups of a memory batch), and every row is
+    free without it. Those rows are weighted once, and their column sum
+    folded once; numpy sums a C-ordered block over axis 0 as a left fold,
+    row after row, so continuing that fold over the free rows gives the
+    bits of the whole sum. With a workspace ``work``, every block is one of
+    its buffers, valid until its next use.
     """
 
-    def __init__(self, fg, mask, l2_lambda: float = 0.0, rows=None,
-                 head=None, work=None):
+    def __init__(self, fg, mask, l2_lambda: float = 0.0, head=None, work=None):
         n, width = fg.shape[0], fg.shape[1] // 2
         self.n, self.width, self.mask, self.l2_lambda = n, width, mask, l2_lambda
         self.fg = fg
-        rows = np.arange(n) if rows is None else np.asarray(rows)
-        self.r = r = rows.size
-        # sorted distinct rows that form one run (all of them, or a memory
-        # batch's free tail) are copied as a slice, at half a gather's cost
-        run = r and rows[-1] - rows[0] == r - 1
-        self.rows = slice(rows[0], rows[-1] + 1) if run else rows
+        self.lo = lo = 0 if head is None else len(head)
+        self.r = r = n - lo
         self.ab = _block(work, "ab", n, 2 * width)
         self.fa, self.bg, self.t = _block(
             work, "fa_bg_t", 6 * r, width).reshape(3, 2 * r, width)
-        self.fa[:r], self.bg[r:] = fg[self.rows, :width], fg[self.rows, width:]
+        self.fa[:r], self.bg[r:] = fg[lo:, :width], fg[lo:, width:]
         self.c = _block(work, "c", width, width)
-        self.lo = 0 if head is None else len(head)
-        if self.lo:
-            self.head = np.multiply(head[:, None], fg[:self.lo],
-                                    out=_block(work, "head", self.lo, 2 * width))
+        if lo:
+            self.head = np.multiply(head[:, None], fg[:lo],
+                                    out=_block(work, "head", lo, 2 * width))
             self.head_sum = self.head.sum(axis=0)
 
     def cov(self, w: np.ndarray) -> np.ndarray:
@@ -263,14 +257,14 @@ class _Problem:
             return objective, None
         # d||M∘C||²/dw_n by the product rule: row n of (F @ C) * B plus row
         # n of (A @ C) * G, the two halves of (FA @ C) * BG.
-        r, width = self.r, self.width
-        self.fa[r:] = self.ab[self.rows, :width]
-        self.bg[:r] = self.ab[self.rows, width:]
+        lo, r, width = self.lo, self.r, self.width
+        self.fa[r:] = self.ab[lo:, :width]
+        self.bg[:r] = self.ab[lo:, width:]
         t = np.matmul(self.fa, c, out=self.t)
         t *= self.bg
         sums = t.sum(axis=1)
         grad = ((2.0 / (self.n - 1)) * (sums[:r] + sums[r:])
-                + 2.0 * self.l2_lambda * w[self.rows])
+                + 2.0 * self.l2_lambda * w[lo:])
         return objective, grad
 
 
@@ -288,16 +282,18 @@ def objective_grad_weights(z, weights, banks, pairs,
     return _Problem(*maps, l2_lambda)(w, True)[1]
 
 
-def _free_target(w: np.ndarray, total: float, free) -> tuple[np.ndarray, float]:
-    """Indices of the adjustable weights and the sum they must reach once
-    the frozen ones are held; an unreachable sum is an OptimizationError."""
-    free_mask = np.ones(w.size, dtype=bool) if free is None else np.asarray(free, dtype=bool)
-    idx = np.flatnonzero(free_mask)
-    target = total - float(w[~free_mask].sum())
-    if idx.size and target < W_MIN * idx.size - 1e-12:
+def _free_target(w: np.ndarray, total: float, frozen: int) -> float:
+    """The sum the weights after the first ``frozen`` must reach once those
+    are held; a count outside [0, N] is a ValueError, an unreachable sum an
+    OptimizationError."""
+    if not 0 <= frozen <= w.size:
+        raise ValueError(f"frozen must lie in [0, {w.size}], got {frozen}")
+    target = total - float(w[:frozen].sum())
+    free = w.size - frozen
+    if free and target < W_MIN * free - 1e-12:
         raise OptimizationError(
-            f"cannot reach sum {target} with {idx.size} weights floored at {W_MIN}")
-    return idx, target
+            f"cannot reach sum {target} with {free} weights floored at {W_MIN}")
+    return target
 
 
 def _rescale(vals: np.ndarray, target: float) -> np.ndarray:
@@ -329,18 +325,18 @@ def _rescale(vals: np.ndarray, target: float) -> np.ndarray:
 
 
 def project_weights(w: np.ndarray, total: float | None = None,
-                    free=None) -> np.ndarray:
+                    frozen: int = 0) -> np.ndarray:
     """Clamp weights to >= W_MIN, then rescale so they sum to ``total``.
 
     Rescaling can push just-clamped entries back under W_MIN, so the
     clamp-and-rescale cycle repeats on the still-adjustable entries until
-    both constraints hold; one pass suffices in the common case. Entries
-    outside ``free`` are treated as constants and never move.
+    both constraints hold; one pass suffices in the common case. The first
+    ``frozen`` entries are treated as constants and never move.
     """
     w = np.array(w, dtype=np.float64)
-    idx, target = _free_target(w, float(w.size) if total is None else total, free)
-    if idx.size:
-        w[idx] = _rescale(w[idx], target)
+    target = _free_target(w, float(w.size) if total is None else total, frozen)
+    if frozen < w.size:
+        _rescale(w[frozen:], target)
     return w
 
 
@@ -354,7 +350,7 @@ class OptimizeResult:
 
 
 def optimize_weights(z, w0, *, steps: int, lr_w: float, l2_lambda: float,
-                     q: int, pair_fraction: float, seed, free=None,
+                     q: int, pair_fraction: float, seed, frozen: int = 0,
                      linear: bool = False, telemetry=None,
                      work=None) -> OptimizeResult:
     """Run ``steps`` projected gradient steps of size ``lr_w`` on the
@@ -366,12 +362,12 @@ def optimize_weights(z, w0, *, steps: int, lr_w: float, l2_lambda: float,
     entry from ``seed``, into one workspace every step reuses. The
     settings are used as given (``harness.TrainConfig`` checks them). A
     ``w0`` of the wrong shape raises ValueError, a non-finite one
-    OptimizationError. ``free`` masks which weights may move; the
-    projection rescales only those, holding the rest as constants while the
-    full vector keeps sum(w) = N, so the sum the free ones must reach is
-    fixed at entry, and each step takes the gradient in the free weights
-    only; when the free weights are the tail of w, as in a memory batch,
-    the frozen head is weighted once for the whole solve. The full-pair
+    OptimizationError. The first ``frozen`` weights (the stored groups of a
+    memory batch) are held as constants, and a count outside [0, N] raises
+    ValueError; the projection rescales only the rest while the full vector
+    keeps sum(w) = N, so the sum the free ones must reach is fixed at
+    entry, each step takes the gradient in the free weights only, and the
+    frozen head is weighted once for the whole solve. The full-pair
     mask is shared between calls. ``telemetry``, when given, receives
     (step, objective, weights) after each projection.
 
@@ -391,11 +387,8 @@ def optimize_weights(z, w0, *, steps: int, lr_w: float, l2_lambda: float,
     fg = _maps(z, None if linear else sample_banks(d, q, rng), work)
     mask = (_full_mask(d, q) if pair_fraction == 1.0
             else _mask(*_pair_index(d, pair_fraction, rng), d, q, work))
-    idx, target = _free_target(w, float(n), free)
-    lo = n - idx.size  # idx (sorted, distinct) is w's tail if it starts here
-    problem = _Problem(fg, mask, l2_lambda, rows=idx,
-                       head=w[:lo] if 0 < lo < n and idx[0] == lo else None,
-                       work=work)
+    target = _free_target(w, float(n), frozen)
+    problem = _Problem(fg, mask, l2_lambda, head=w[:frozen], work=work)
 
     history = []
     for step in range(steps):
@@ -403,10 +396,10 @@ def optimize_weights(z, w0, *, steps: int, lr_w: float, l2_lambda: float,
         if not np.isfinite(objective) or not np.isfinite(grad).all():
             raise OptimizationError(f"non-finite objective or gradient at step {step}")
         history.append(objective)
-        if idx.size:
-            free_w = w[problem.rows]  # a view when the free rows are a run
+        if frozen < n:
+            free_w = w[frozen:]
             free_w -= lr_w * grad
-            w[problem.rows] = _rescale(free_w, target)
+            _rescale(free_w, target)
         if telemetry is not None:
             telemetry(step, objective, w.copy())
     final, _ = problem(w, False)

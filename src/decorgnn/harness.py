@@ -183,7 +183,7 @@ def init_model(cfg: TrainConfig, feature_dim: int, num_classes: int) -> enc.Mode
     )
 
 
-# Dataset -> {chunk: parts}, each entry as long-lived as its dataset (which
+# Dataset -> its chunks, each entry as long-lived as its dataset (which
 # hashes by identity); and each thread's workspace, shared by every dataset
 # and by the training steps the thread runs
 _EVAL_CHUNKS = weakref.WeakKeyDictionary()
@@ -198,18 +198,18 @@ def _thread_workspace() -> enc.Workspace:
     return work
 
 
-def _eval_chunks(dataset: Dataset, chunk: int) -> list:
+def _eval_chunks(dataset: Dataset) -> list:
     """(union index, graphs' own feature arrays, labels) per chunk, built once.
 
-    A chunk holds at most ``chunk`` graphs and ``EVAL_ROWS`` union rows;
-    a graph with more nodes than that sits in a chunk alone.
+    A chunk holds at most ``EVAL_CHUNK`` graphs and ``EVAL_ROWS`` union
+    rows; a graph with more nodes than that sits in a chunk alone.
     """
-    memo = _EVAL_CHUNKS.setdefault(dataset, {})
-    if chunk not in memo:
+    parts = _EVAL_CHUNKS.get(dataset)
+    if parts is None:
         graphs = sorted(dataset.graphs, key=lambda g: g.num_nodes)
         starts, rows = [], 0
         for i, g in enumerate(graphs):
-            if (not starts or i - starts[-1] == chunk
+            if (not starts or i - starts[-1] == EVAL_CHUNK
                     or rows + g.num_nodes > EVAL_ROWS):
                 starts.append(i)
                 rows = 0
@@ -219,27 +219,25 @@ def _eval_chunks(dataset: Dataset, chunk: int) -> list:
             part = graphs[start:stop]
             parts.append((enc._UnionIndex(part), [g.features for g in part],
                           np.array([g.label for g in part])))
-        memo.setdefault(chunk, parts)
-    return memo[chunk]
+        parts = _EVAL_CHUNKS.setdefault(dataset, parts)
+    return parts
 
 
-def evaluate(model: enc.Model, dataset: Dataset,
-             chunk: int = EVAL_CHUNK) -> float:
-    """Accuracy over a dataset, encoded in chunks of ``chunk`` graphs.
+def evaluate(model: enc.Model, dataset: Dataset) -> float:
+    """Accuracy over a dataset, encoded in chunks of ``EVAL_CHUNK`` graphs.
 
-    ``chunk`` must be a positive integer. The graphs are taken in
-    node-count order (a stable sort), so graphs of one size share a chunk
-    and each size's adjacency stack is one contiguous row range. A chunk
-    also holds at most ``EVAL_ROWS`` (512) union rows, and a larger graph
-    is encoded alone. On the size-shift data (500 graphs of 5-16 nodes,
-    one BLAS thread), scoring train and test took 13.2 ms at 2048 rows and
-    at 512, and 10% more at 256, where the per-chunk work starts to show.
-    Accuracy is a count of hits, so the order moves no result. Each
-    chunk's union index, labels and references to its graphs' feature
-    arrays are built on the first call for a (dataset, chunk) pair and
-    kept until the dataset is garbage-collected; later calls, such as the
-    per-epoch scoring in ``train``, run only the forward pass. A dataset's
-    graphs are therefore treated as immutable once evaluated.
+    The graphs are taken in node-count order (a stable sort), so graphs of
+    one size share a chunk and each size's adjacency stack is one
+    contiguous row range. A chunk also holds at most ``EVAL_ROWS`` (512)
+    union rows, and a larger graph is encoded alone. On the size-shift
+    data (500 graphs of 5-16 nodes, one BLAS thread), scoring train and
+    test took 13.2 ms at 2048 rows and at 512, and 10% more at 256, where
+    the per-chunk work starts to show. Accuracy is a count of hits, so the
+    order moves no result. Each chunk's union index, labels and references
+    to its graphs' feature arrays are built on the first call for a
+    dataset and kept until the dataset is garbage-collected; later calls,
+    such as the per-epoch scoring in ``train``, run only the forward pass.
+    A dataset's graphs are therefore treated as immutable once evaluated.
 
     Each chunk's features are stacked into the calling thread's workspace,
     where the forward pass runs without a tape. It serves every dataset
@@ -252,9 +250,7 @@ def evaluate(model: enc.Model, dataset: Dataset,
     the thread lives. A warmed call allocates nothing of chunk size, and
     threads never share buffers.
     """
-    if not isinstance(chunk, (int, np.integer)) or chunk < 1:
-        raise ValueError(f"chunk must be a positive integer, got {chunk!r}")
-    parts = _eval_chunks(dataset, chunk)
+    parts = _eval_chunks(dataset)
     work = _thread_workspace()
     hits = 0
     for index, features, labels in parts:
@@ -267,19 +263,18 @@ def evaluate(model: enc.Model, dataset: Dataset,
 def _reweight_batch(z_value, cfg, memory, epoch, batch_idx, stats, work):
     """Optimize this batch's sample weights; returns (weights, objective).
 
-    Stored memory groups enter the dependence objective with their weights
-    frozen; only the current batch's entries move. Afterwards every stored
-    group is pulled toward the batch by its momentum factor. The solve's
-    blocks live in the "solve" scope of the workspace ``work``.
+    Stored memory groups, which ``gm.concat`` stacks before the batch, enter
+    the dependence objective with their weights frozen; only the current
+    batch's entries move. Afterwards every stored group is pulled toward
+    the batch by its momentum factor. The solve's blocks live in the
+    "solve" scope of the workspace ``work``.
     """
     z_std = _standardize(z_value)
     w_local = np.ones(z_value.shape[0])
     if memory is not None:
         z_hat, w_hat = gm.concat(memory, z_std, w_local)
-        free = np.zeros(len(w_hat), dtype=bool)
-        free[-len(w_local):] = True
     else:
-        z_hat, w_hat, free = z_std, w_local, None
+        z_hat, w_hat = z_std, w_local
 
     def check_constraints(step, objective, w):
         stats["checks"] += 1
@@ -290,7 +285,7 @@ def _reweight_batch(z_value, cfg, memory, epoch, batch_idx, stats, work):
         z_hat, w_hat, steps=cfg.epochs_reweight, lr_w=cfg.lr_w,
         l2_lambda=cfg.l2_lambda, q=cfg.q, pair_fraction=cfg.pair_fraction,
         seed=_derived_seed([cfg.seed, _STREAM_BANKS, epoch, batch_idx]),
-        free=free, linear=(cfg.mode == "linear_decorr"),
+        frozen=len(w_hat) - len(w_local), linear=(cfg.mode == "linear_decorr"),
         telemetry=check_constraints, work=work.child("solve"))
     w_new = result.weights[-len(w_local):]
     if memory is not None:

@@ -186,7 +186,7 @@ def _solve(z, w0, **settings):
         "pair_fraction": 1.0, "seed": 0, **settings})
 
 
-def _reference_optimize(z, w0, free, linear, *, steps, lr_w, l2_lambda, q,
+def _reference_optimize(z, w0, frozen, linear, *, steps, lr_w, l2_lambda, q,
                         pair_fraction, seed):
     """optimize_weights from public pieces: one generator draws the banks,
     then the pairs; each step scores them and projects."""
@@ -202,39 +202,37 @@ def _reference_optimize(z, w0, free, linear, *, steps, lr_w, l2_lambda, q,
     for _ in range(steps):
         history.append(penalized(w))
         step = lr_w * dc.objective_grad_weights(z, w, banks, pairs, l2_lambda)
-        if free is not None:
-            step = np.where(free, step, 0.0)
-        w = dc.project_weights(w - step, total=float(n), free=free)
+        step[:frozen] = 0.0
+        w = dc.project_weights(w - step, total=float(n), frozen=frozen)
     history.append(penalized(w))
     return w, history
 
 
-def _stream_case(frozen):
-    """(z, w0, free) for one layout of frozen rows: a count of leading
-    frozen rows, a scattered free mask, nothing free, or a 2-group memory
-    batch (96 rows, the first 64 frozen at their stored weights, d = 64)."""
+def _stream_case(layout):
+    """(z, w0, frozen) for one layout of frozen rows: a count of leading
+    frozen rows out of 12 (11 leaves one free row, 12 none), or a 2-group
+    memory batch (96 rows, the first 64 frozen at their stored weights,
+    d = 64)."""
     rng = np.random.default_rng(44)
-    if frozen == "memory":
+    if layout == "memory":
         z = rng.standard_normal((96, 64))
         w0 = np.concatenate([rng.uniform(0.5, 1.5, 64), np.ones(32)])
-        return z, w0, np.arange(96) >= 64
+        return z, w0, 64
     base = rng.standard_normal(12)
     z = np.column_stack([base, base ** 2, np.sin(base), rng.standard_normal((12, 3))])
-    free = {0: None, 4: np.arange(12) >= 4, "scattered": np.arange(12) % 3 != 1,
-            "all_frozen": np.zeros(12, dtype=bool)}[frozen]
-    return z, np.ones(12), free
+    return z, np.ones(12), layout
 
 
 @pytest.mark.parametrize("q", [1, 3])
 @pytest.mark.parametrize("fraction", [1.0, 0.5])
 @pytest.mark.parametrize("linear", [False, True])
-@pytest.mark.parametrize("frozen", [0, 4, "scattered", "all_frozen", "memory"])
-def test_optimize_weights_follows_the_public_stream_exactly(q, fraction, linear, frozen):
-    z, w0, free = _stream_case(frozen)
+@pytest.mark.parametrize("layout", [0, 4, 11, 12, "memory"])
+def test_optimize_weights_follows_the_public_stream_exactly(q, fraction, linear, layout):
+    z, w0, frozen = _stream_case(layout)
     settings = dict(steps=6, lr_w=0.05, l2_lambda=0.1, q=q,
                     pair_fraction=fraction, seed=13)
-    got = dc.optimize_weights(z, w0, free=free, linear=linear, **settings)
-    want_w, want_history = _reference_optimize(z, w0, free, linear, **settings)
+    got = dc.optimize_weights(z, w0, frozen=frozen, linear=linear, **settings)
+    want_w, want_history = _reference_optimize(z, w0, frozen, linear, **settings)
     assert np.array_equal(got.weights, want_w)
     assert got.objectives == want_history
     # sample_banks draws in the documented order, so the stream is pinned to
@@ -247,16 +245,16 @@ def test_optimize_weights_in_a_reused_workspace_matches_fresh_buffers():
     # every layout and setting of the stream test, one workspace for all,
     # twice in opposite orders, so each solve meets buffers another shape
     # grew and filled
-    cases = [(frozen, q, fraction, linear)
-             for frozen in ("memory", 0, 4, "scattered", "all_frozen")
+    cases = [(layout, q, fraction, linear)
+             for layout in ("memory", 0, 4, 11, 12)
              for q in (1, 3) for fraction in (1.0, 0.5)
              for linear in (False, True)]
     work = Workspace()
     for order in (cases, cases[::-1]):
-        for frozen, q, fraction, linear in order:
-            z, w0, free = _stream_case(frozen)
+        for layout, q, fraction, linear in order:
+            z, w0, frozen = _stream_case(layout)
             settings = dict(steps=4, lr_w=0.05, l2_lambda=0.1, q=q,
-                            pair_fraction=fraction, seed=17, free=free,
+                            pair_fraction=fraction, seed=17, frozen=frozen,
                             linear=linear)
             want = dc.optimize_weights(z, w0, **settings)
             got = dc.optimize_weights(z, w0, work=work, **settings)
@@ -265,10 +263,10 @@ def test_optimize_weights_in_a_reused_workspace_matches_fresh_buffers():
 
 
 def test_a_warmed_memory_solve_allocates_nothing_of_its_size():
-    z, w0, free = _stream_case("memory")
+    z, w0, frozen = _stream_case("memory")
     q = 3
     settings = dict(steps=5, lr_w=0.05, l2_lambda=0.1, q=q, pair_fraction=1.0,
-                    seed=19, free=free, work=Workspace())
+                    seed=19, frozen=frozen, work=Workspace())
     tracemalloc.start()
     try:
         dc.optimize_weights(z, w0, **settings)  # grows the workspace
@@ -325,8 +323,7 @@ def _check_workspace_solve(work, z, fields, mask, draws, head_rows):
     ``head_rows`` weights frozen, against the reference on every draw."""
     f, g = _reference_maps(z, fields)
     head = draws[-1][:head_rows]
-    problem = dc._Problem(dc._maps(z, fields, work), mask, 0.3,
-                          rows=np.arange(head_rows, len(z)), head=head,
+    problem = dc._Problem(dc._maps(z, fields, work), mask, 0.3, head=head,
                           work=work)
     for w in draws + draws[::-1]:
         w = np.concatenate([head, w[head_rows:]])
@@ -346,10 +343,10 @@ def _check_workspace_solve(work, z, fields, mask, draws, head_rows):
 def test_workspace_matches_the_reference_objective_bit_for_bit(n, frozen, d, q,
                                                                fraction, linear):
     # The stacked product [F; A] @ C must give the rows the two separate
-    # products give, and a workspace restricted to some rows must give
-    # those rows' entries. BLAS libraries do not promise that a row's result
-    # is independent of the row count, so it is pinned on workload shapes,
-    # for a contiguous tail (the memory layout) and a scattered row set.
+    # products give, and a problem whose leading rows are frozen must give
+    # the free rows' entries. BLAS libraries do not promise that a row's
+    # result is independent of the row count, so it is pinned on workload
+    # shapes, for the free tail of a memory batch.
     rng = np.random.default_rng(47)
     z, fields, mask, draws = _objective_case(rng, n, frozen, d, q, fraction,
                                              linear)
@@ -357,18 +354,16 @@ def test_workspace_matches_the_reference_objective_bit_for_bit(n, frozen, d, q,
     fg = dc._maps(z, fields)
     assert np.array_equal(fg, np.concatenate([f, g], axis=1))
     problem = dc._Problem(fg, mask, 0.3)
-    subsets = [(rows, dc._Problem(fg, mask, 0.3, rows=rows))
-               for rows in (np.arange(n - n // 3, n), np.arange(1, n, 3))]
+    lo = n - n // 3
     for w in draws + draws[::-1]:  # revisits catch state left in a buffer
         want_obj, want_grad = _reference_objective(w, f, g, mask, 0.3)
         got_obj, got_grad = problem(w, True)
         assert got_obj == want_obj
         assert np.array_equal(got_grad, want_grad)
         assert problem(w, False) == (want_obj, None)
-        for rows, restricted in subsets:
-            got_obj, got_grad = restricted(w, True)
-            assert got_obj == want_obj
-            assert np.array_equal(got_grad, want_grad[rows])
+        got_obj, got_grad = dc._Problem(fg, mask, 0.3, head=w[:lo])(w, True)
+        assert got_obj == want_obj
+        assert np.array_equal(got_grad, want_grad[lo:])
 
     # Solves in one workspace, with a frozen head weighted and folded once,
     # alternating with a solve of another shape: a buffer left longer than
@@ -443,23 +438,22 @@ def test_project_weights_constraints_and_iterated_clamping():
 
 def test_project_weights_respects_frozen_entries():
     w = np.array([0.5, 0.5, 3.0, 5.0])
-    free = np.array([False, False, True, True])
-    out = dc.project_weights(w, free=free)
+    out = dc.project_weights(w, frozen=2)
     assert out[0] == 0.5 and out[1] == 0.5
     assert abs(out.sum() - 4.0) < 1e-9
     assert np.allclose(out[2:], [3.0 * 3 / 8, 5.0 * 3 / 8])
     with pytest.raises(dc.OptimizationError):
         # frozen entries alone exhaust the total; free ones cannot go to zero
-        dc.project_weights(np.array([2.0, 2.0, 1.0, 1.0]), free=free)
+        dc.project_weights(np.array([2.0, 2.0, 1.0, 1.0]), frozen=2)
 
 
-def _reference_project(w, total=None, free=None):
+def _reference_project(w, total=None, frozen=0):
     """project_weights as first written: one clamp-and-rescale loop that
-    rebuilds the free mask and re-sums the frozen entries on every call."""
+    builds the free mask and re-sums the frozen entries on every call."""
     w = np.array(w, dtype=np.float64)
     if total is None:
         total = float(w.size)
-    free_mask = np.ones(w.size, dtype=bool) if free is None else np.asarray(free, dtype=bool)
+    free_mask = np.arange(w.size) >= frozen
     idx = np.flatnonzero(free_mask)
     if idx.size == 0:
         return w
@@ -486,36 +480,36 @@ def test_project_weights_matches_the_reference_loop_bit_for_bit():
     rng = np.random.default_rng(48)
     floor = dc.W_MIN
     cases = [
-        (rng.uniform(0.5, 2.0, 40), None, None),  # no clamp: one rescale
-        (np.array([1000.0, 2e-4, 3e-4, 1.0]), None, None),  # above floor, rescale dips
-        (np.array([5.0, floor, floor, floor]), None, None),
-        (np.array([50.0, 3e-4, -2.0, 2e-4, 1e-3, 0.9]), None, None),  # several passes
-        (np.full(5, floor), None, None),
-        (np.full(4, -1.0), 4 * floor - 1e-13, None),  # all at the floor, roundoff short
-        (np.array([0.5, 0.5, 3.0, 5.0]), None, np.array([False, False, True, True])),
-        (np.array([0.7, 1e-5, 9.0, 0.2, 3.0]), 6.0, np.array([True, False] * 2 + [True])),
-        (np.array([1.0, 2.0]), None, np.zeros(2, bool)),
+        (rng.uniform(0.5, 2.0, 40), None, 0),  # no clamp: one rescale
+        (np.array([1000.0, 2e-4, 3e-4, 1.0]), None, 0),  # above floor, rescale dips
+        (np.array([5.0, floor, floor, floor]), None, 0),
+        (np.array([50.0, 3e-4, -2.0, 2e-4, 1e-3, 0.9]), None, 0),  # several passes
+        (np.full(5, floor), None, 0),
+        (np.full(4, -1.0), 4 * floor - 1e-13, 0),  # all at the floor, roundoff short
+        (np.array([0.5, 0.5, 3.0, 5.0]), None, 2),
+        (np.array([0.7, 1e-5, 9.0, 0.2, 3.0]), 6.0, 2),  # a frozen entry under the floor
+        (np.array([1.0, 2.0]), None, 2),
     ]
     for _ in range(200):
         n = int(rng.integers(2, 40))
         w = rng.standard_normal(n) * rng.choice([0.01, 1.0, 30.0])
-        free = rng.random(n) < 0.7 if rng.random() < 0.5 else None
-        cases.append((w, float(n), free))
-    for w, total, free in cases:
+        frozen = int(rng.integers(0, n + 1)) if rng.random() < 0.5 else 0
+        cases.append((w, float(n), frozen))
+    for w, total, frozen in cases:
         try:
-            want = _reference_project(w, total, free)
+            want = _reference_project(w, total, frozen)
         except dc.OptimizationError:
             with pytest.raises(dc.OptimizationError):
-                dc.project_weights(w, total, free)
+                dc.project_weights(w, total, frozen)
             continue
-        assert np.array_equal(dc.project_weights(w, total, free), want)
+        assert np.array_equal(dc.project_weights(w, total, frozen), want)
 
 
 def test_optimize_weights_with_nothing_free_keeps_w0():
     rng = np.random.default_rng(49)
     z = rng.standard_normal((10, 3))
     w0 = rng.uniform(0.5, 1.5, 10)
-    result = _solve(z, w0, steps=4, seed=3, free=np.zeros(10, dtype=bool))
+    result = _solve(z, w0, steps=4, seed=3, frozen=10)
     assert np.array_equal(result.weights, w0)
     assert result.weights is not w0
     assert len(result.objectives) == 4 + 1
@@ -562,11 +556,19 @@ def test_optimize_weights_frozen_entries_never_move():
     rng = np.random.default_rng(42)
     base = rng.standard_normal(12)
     z = np.column_stack([base, base ** 3, rng.standard_normal(12)])
-    free = np.array([False] * 4 + [True] * 8)
     result = _solve(z, np.ones(12), steps=10, lr_w=0.05, l2_lambda=0.1,
-                    seed=7, free=free)
+                    seed=7, frozen=4)
     assert np.array_equal(result.weights[:4], np.ones(4))
     assert abs(result.weights.sum() - 12.0) <= 1e-6
+
+
+@pytest.mark.parametrize("frozen", [-1, 13])
+def test_a_frozen_count_outside_zero_to_n_is_refused(frozen):
+    z = np.random.default_rng(50).standard_normal((12, 3))
+    with pytest.raises(ValueError, match=r"frozen must lie in \[0, 12\]"):
+        _solve(z, np.ones(12), steps=2, frozen=frozen)
+    with pytest.raises(ValueError, match=r"frozen must lie in \[0, 12\]"):
+        dc.project_weights(np.ones(12), frozen=frozen)
 
 
 def test_optimize_weights_deterministic_per_seed():
@@ -682,6 +684,7 @@ def test_optimize_weights_rejects_bad_initial_weights():
         with pytest.raises(ValueError, match="expected 4 weights"):
             _solve(z, w0, steps=2)
     for bad in (np.nan, np.inf):
-        for steps, free in ((2, None), (0, None), (2, np.arange(4) > 0)):
+        for steps, frozen in ((2, 0), (0, 0), (2, 1)):
             with pytest.raises(dc.OptimizationError, match="initial weights"):
-                _solve(z, np.array([bad, 1.0, 1.0, 1.0]), steps=steps, free=free)
+                _solve(z, np.array([bad, 1.0, 1.0, 1.0]), steps=steps,
+                       frozen=frozen)

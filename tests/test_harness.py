@@ -161,6 +161,27 @@ def test_ragged_last_batch_dropped_with_memory(size_split):
     assert len(report.final_weights) == full_batches * cfg.batch_size
 
 
+@pytest.mark.parametrize("k_groups", [0, 2])
+def test_a_solve_freezes_exactly_the_stored_groups(size_split, monkeypatch,
+                                                   k_groups):
+    train_set, test_set = size_split
+    solve, calls = dc.optimize_weights, []
+
+    def recording(z, w0, **settings):
+        calls.append((len(w0), settings))
+        return solve(z, w0, **settings)
+
+    monkeypatch.setattr(dc, "optimize_weights", recording)
+    cfg = small_cfg(k_groups=k_groups, gammas=(0.5, 0.9)[:k_groups], epochs=1)
+    hn.train(train_set, test_set, cfg)
+    frozen = k_groups * cfg.batch_size
+    assert len(calls) == (2 if k_groups else 3)  # 92 graphs in batches of 32
+    for rows, settings in calls:
+        assert settings["frozen"] == frozen
+        if k_groups:
+            assert rows == frozen + cfg.batch_size
+
+
 def test_memory_run_on_less_than_one_batch_is_refused(size_split,
                                                      monkeypatch):
     train_set, test_set = size_split
@@ -216,14 +237,22 @@ def test_training_reduces_loss(size_split):
     assert report.records[-1].loss < report.records[0].loss
 
 
-def test_evaluate_matches_whole_dataset_prediction(size_split):
+def test_evaluate_matches_whole_dataset_prediction(size_split, monkeypatch):
     train_set, _ = size_split
     cfg = small_cfg(mode="baseline_uniform", epochs=1)
     model, _ = hn.train(train_set, train_set, cfg)
-    acc = hn.evaluate(model, train_set, chunk=7)
+    set_eval_chunk(monkeypatch, 7)
+    acc = hn.evaluate(model, train_set)
     pred = enc.predict(model, train_set.graphs)
     want = float(np.mean(pred == [g.label for g in train_set.graphs]))
     assert acc == pytest.approx(want, abs=1e-12)
+
+
+def set_eval_chunk(monkeypatch, graphs):
+    """Evaluate in chunks of at most ``graphs`` graphs, with every dataset's
+    chunks built afresh; the test's end restores both."""
+    monkeypatch.setattr(hn, "EVAL_CHUNK", graphs)
+    monkeypatch.setattr(hn, "_EVAL_CHUNKS", weakref.WeakKeyDictionary())
 
 
 def mixed_size_dataset(seed=8):
@@ -265,8 +294,9 @@ def test_evaluate_in_node_count_order_matches_per_graph_prediction(
     want = np.sum(pred == labels) / len(graphs)
     by_size = sorted(range(len(graphs)), key=lambda i: graphs[i].num_nodes)
     for chunk in (1, 7, 64):
-        assert hn.evaluate(model, dataset, chunk=chunk) == want
-        parts = hn._eval_chunks(dataset, chunk)
+        set_eval_chunk(monkeypatch, chunk)
+        assert hn.evaluate(model, dataset) == want
+        parts = hn._eval_chunks(dataset)
         assert [len(part[2]) for part in parts][:-1] == (
             [chunk] * (len(parts) - 1))
         # the chunks hold the graphs in node-count order, ties as listed
@@ -308,8 +338,6 @@ def test_a_second_evaluate_builds_no_union_index(monkeypatch):
     assert built == [64, 28]
     assert hn.evaluate(other, dataset) == other_acc
     assert built == [64, 28]
-    hn.evaluate(model, dataset, chunk=50)
-    assert built == [64, 28, 50, 42]
     # the memo lives only as long as its dataset
     assert dataset in hn._EVAL_CHUNKS
     held = len(hn._EVAL_CHUNKS)
@@ -328,7 +356,7 @@ def test_evaluate_does_not_depend_on_the_row_cap(monkeypatch):
         monkeypatch.setattr(hn, "EVAL_ROWS", rows)
         hn._EVAL_CHUNKS.clear()
         assert hn.evaluate(model, dataset) == want, rows
-        parts = hn._eval_chunks(dataset, hn.EVAL_CHUNK)
+        parts = hn._eval_chunks(dataset)
         assert all(index.num_nodes <= rows or len(labels) == 1
                    for index, _, labels in parts)
         cuts.append(len(parts))
@@ -342,7 +370,7 @@ def test_a_warmed_evaluate_allocates_less_than_one_chunk_block(size_split):
                           test_set.num_classes)
     want = hn.evaluate(model, test_set)  # builds the chunks and the buffers
     rows = max(index.num_nodes
-               for index, _, _ in hn._eval_chunks(test_set, hn.EVAL_CHUNK))
+               for index, _, _ in hn._eval_chunks(test_set))
     tracemalloc.start()
     try:
         got = hn.evaluate(model, test_set)
@@ -353,23 +381,16 @@ def test_a_warmed_evaluate_allocates_less_than_one_chunk_block(size_split):
     assert peak < rows * hidden * 8
 
 
-def test_eval_chunks_reference_the_graphs_own_feature_arrays():
+def test_eval_chunks_reference_the_graphs_own_feature_arrays(monkeypatch):
     dataset = mixed_size_dataset(seed=13)
     by_size = sorted(dataset.graphs, key=lambda g: g.num_nodes)
     for chunk in (1, 7, 64):
-        parts = hn._eval_chunks(dataset, chunk)
+        set_eval_chunk(monkeypatch, chunk)
+        parts = hn._eval_chunks(dataset)
         held = [f for _, features, _ in parts for f in features]
         # no stacked copy: each entry is the graph's own array
         assert len(held) == len(by_size)
         assert all(f is g.features for f, g in zip(held, by_size))
-
-
-@pytest.mark.parametrize("chunk", [0, -1, 2.5])
-def test_evaluate_rejects_a_chunk_that_is_not_a_positive_integer(chunk):
-    dataset = mixed_size_dataset(seed=13)
-    model = random_model(dataset.feature_dim)
-    with pytest.raises(ValueError, match="chunk must be a positive integer"):
-        hn.evaluate(model, dataset, chunk=chunk)
 
 
 def test_datasets_of_different_chunk_sizes_share_one_thread_workspace():
@@ -380,7 +401,7 @@ def test_datasets_of_different_chunk_sizes_share_one_thread_workspace():
 
     def rows(dataset):
         return max(index.num_nodes
-                   for index, _, _ in hn._eval_chunks(dataset, hn.EVAL_CHUNK))
+                   for index, _, _ in hn._eval_chunks(dataset))
 
     def per_graph(dataset):
         pred = np.concatenate([enc.predict(model, [g])
@@ -455,7 +476,7 @@ def test_a_graph_above_the_row_cap_is_evaluated_alone():
     small = mixed_size_dataset(seed=12).graphs[:30]
     dataset = Dataset(small + [ring], num_classes=10, feature_dim=5)
     model = random_model(5)
-    parts = hn._eval_chunks(dataset, hn.EVAL_CHUNK)
+    parts = hn._eval_chunks(dataset)
     assert len(parts) == 2
     assert parts[0][0].num_nodes <= hn.EVAL_ROWS
     index, features, labels = parts[1]

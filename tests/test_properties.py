@@ -107,13 +107,14 @@ def test_load_results_summary_loads_or_raises_format_error(field, value, drop):
                 min_size=1, max_size=20),
        st.floats(0.0, 100.0))
 def test_project_weights_invariants(entries, slack):
-    w = np.array([v for v, _ in entries])
-    free = np.array([f for _, f in entries])
-    assume(free.any())
-    w[~free] = np.maximum(w[~free], dc.W_MIN)
+    # the frozen entries lead, in the order drawn, then the free ones
+    frozen = sum(not f for _, f in entries)
+    assume(frozen < len(entries))
+    w = np.array([v for v, f in entries if not f] + [v for v, f in entries if f])
+    w[:frozen] = np.maximum(w[:frozen], dc.W_MIN)
     # feasible: the free entries can all sit at the floor or above
-    total = float(w[~free].sum()) + dc.W_MIN * free.sum() + slack
-    out = dc.project_weights(w, total=total, free=free)
+    total = float(w[:frozen].sum()) + dc.W_MIN * (w.size - frozen) + slack
+    out = dc.project_weights(w, total=total, frozen=frozen)
     assert abs(out.sum() - total) <= 1e-9 * max(1.0, total)
     assert out.min() >= dc.W_MIN
-    assert np.array_equal(out[~free], w[~free])
+    assert np.array_equal(out[:frozen], w[:frozen])
