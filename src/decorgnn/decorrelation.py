@@ -9,7 +9,10 @@ frequencies and phases; the banks of d dimensions are one [d × 2 × 2 × q]
 array, and None stands for the identity maps. Summed over dimension pairs
 this gives a differentiable objective in the per-sample weights, minimized
 by projected gradient descent under the constraints sum(w) = N and
-w >= W_MIN. The solve takes plain arrays and explicit settings;
+w >= W_MIN. Only the dimensions the pairs name are mapped and scored: a
+dimension in no pair adds nothing to the objective, so a solve that pairs
+a sampled fraction of the dimensions works on those columns alone. The
+solve takes plain arrays and explicit settings;
 ``harness.TrainConfig`` alone sets their defaults and checks them. Each
 solve allocates its buffers once, or takes them from a caller's workspace
 that outlives it, and scores every step in them, bit for bit as fresh
@@ -104,12 +107,19 @@ def dims_kept(d: int, fraction: float) -> int:
     return keep
 
 
+def _kept_dims(d: int, fraction: float, rng) -> np.ndarray:
+    """The sorted dimensions sample_pairs pairs up: all d at fraction 1,
+    drawing nothing, else dims_kept(d, fraction) drawn without replacement."""
+    keep = dims_kept(d, fraction)
+    if fraction == 1.0:
+        return np.arange(d)
+    return np.sort(np.random.default_rng(rng).choice(d, size=keep, replace=False))
+
+
 def _pair_index(d: int, fraction: float, rng) -> np.ndarray:
     """The pairs sample_pairs returns, as a [2 × pairs] index array."""
-    keep = dims_kept(d, fraction)
-    dims = np.arange(d) if fraction == 1.0 else np.sort(
-        np.random.default_rng(rng).choice(d, size=keep, replace=False))
-    return dims[np.array(np.triu_indices(keep, k=1))]
+    dims = _kept_dims(d, fraction, rng)
+    return dims[np.array(np.triu_indices(dims.size, k=1))]
 
 
 def sample_pairs(d: int, fraction: float, rng) -> list[tuple[int, int]]:
@@ -117,7 +127,9 @@ def sample_pairs(d: int, fraction: float, rng) -> list[tuple[int, int]]:
 
     fraction = 1 enumerates all C(d, 2) pairs. A smaller fraction samples
     ceil(fraction * d) dimensions without replacement and pairs within the
-    sample; fewer than two surviving dimensions is a domain error.
+    sample; fewer than two surviving dimensions is a domain error. The
+    objective maps and scores only the dimensions the pairs name, so a
+    smaller fraction makes a cheaper solve.
     """
     return list(zip(*_pair_index(d, fraction, rng).tolist()))
 
@@ -125,6 +137,20 @@ def sample_pairs(d: int, fraction: float, rng) -> list[tuple[int, int]]:
 def _block(work, role: str, rows: int, cols: int) -> np.ndarray:
     """A [rows × cols] array: the workspace's for ``role``, else fresh."""
     return np.empty((rows, cols)) if work is None else work.take(role, rows, cols)
+
+
+def _columns(z: np.ndarray, banks, dims: np.ndarray, work=None):
+    """z's columns ``dims`` and their banks (None stays None), in the
+    workspace's "columns" and "banks" blocks when one is given. ``take``
+    with mode "clip" writes straight into them; "raise" would buffer."""
+    cols = np.take(z, dims, axis=1, mode="clip",
+                   out=_block(work, "columns", len(z), dims.size))
+    if banks is not None:
+        banks = np.asarray(banks, dtype=np.float64)
+        kept = _block(work, "banks", dims.size, banks[0].size)
+        banks = np.take(banks, dims, axis=0, mode="clip",
+                        out=kept.reshape(dims.size, *banks.shape[1:]))
+    return cols, banks
 
 
 def _maps(z: np.ndarray, fields, work=None) -> np.ndarray:
@@ -147,12 +173,12 @@ def _maps(z: np.ndarray, fields, work=None) -> np.ndarray:
     return fg
 
 
-def _mask(rows, cols, d: int, q: int, work=None) -> np.ndarray:
+def _mask(rows, cols, d: int, q: int) -> np.ndarray:
     """The 0/1 [d·q × d·q] mask of the pairs (rows, cols): each pair's
     q × q block is ones."""
     select = np.zeros((d, d))
     select[rows, cols] = 1.0
-    mask = _block(work, "mask", d * q, d * q)
+    mask = np.empty((d * q, d * q))
     mask.reshape(d, q, d, q)[...] = select[:, None, :, None]
     return mask
 
@@ -178,7 +204,9 @@ def _inputs(z, weights) -> tuple[np.ndarray, np.ndarray]:
 
 def _setup(z, weights, banks, pairs):
     """Validated weights, stacked f/g maps and pair mask for one objective;
-    ``banks`` is None (identity maps) or a [d × 2 × 2 × q] array."""
+    ``banks`` is None (identity maps) or a [d × 2 × 2 × q] array. Only the
+    sorted dimensions the pairs name are mapped, with the pairs renumbered
+    among them, as a solve restricts itself to its kept dimensions."""
     z, w = _inputs(z, weights)
     d = z.shape[1]
     q = 1  # an identity map has width 1
@@ -191,7 +219,11 @@ def _setup(z, weights, banks, pairs):
     bad = np.flatnonzero((rows < 0) | (rows >= cols) | (cols >= d))
     if bad.size:
         raise ValueError(f"pair ({rows[bad[0]]}, {cols[bad[0]]}) invalid for d={d}")
-    return w, _maps(z, banks), _mask(rows, cols, d, q)
+    dims = np.unique(np.concatenate([rows, cols]))
+    if dims.size < d:
+        z, banks = _columns(z, banks, dims)
+        rows, cols = np.searchsorted(dims, rows), np.searchsorted(dims, cols)
+    return w, _maps(z, banks), _mask(rows, cols, dims.size, q)
 
 
 class _Problem:
@@ -270,14 +302,16 @@ class _Problem:
 
 def decorrelation_objective(z, weights, banks, pairs) -> float:
     """Sum over pairs (i, j) of the squared Frobenius norm of the weighted
-    partial cross-covariance between mapped columns i and j."""
+    partial cross-covariance between mapped columns i and j; only the
+    columns the pairs name are mapped."""
     w, *maps = _setup(z, weights, banks, pairs)
     return _Problem(*maps)(w, False)[0]
 
 
 def objective_grad_weights(z, weights, banks, pairs,
                            l2_lambda: float = 0.0) -> np.ndarray:
-    """Exact gradient of decorrelation_objective + l2_lambda * ||w||^2 in w."""
+    """Exact gradient of decorrelation_objective + l2_lambda * ||w||^2 in w,
+    mapping only the columns the pairs name."""
     w, *maps = _setup(z, weights, banks, pairs)
     return _Problem(*maps, l2_lambda)(w, True)[1]
 
@@ -356,24 +390,27 @@ def optimize_weights(z, w0, *, steps: int, lr_w: float, l2_lambda: float,
     """Run ``steps`` projected gradient steps of size ``lr_w`` on the
     objective plus ``l2_lambda``·||w||², starting from the array ``w0``.
 
-    Banks of width ``q`` (``sample_banks``; identity maps when ``linear``)
-    and then the mask of the pairs among a ``pair_fraction`` of the
-    dimensions (the stream ``sample_pairs`` would use) are drawn once at
-    entry from ``seed``, into one workspace every step reuses. The
-    settings are used as given (``harness.TrainConfig`` checks them). A
-    ``w0`` of the wrong shape raises ValueError, a non-finite one
-    OptimizationError. The first ``frozen`` weights (the stored groups of a
-    memory batch) are held as constants, and a count outside [0, N] raises
-    ValueError; the projection rescales only the rest while the full vector
-    keeps sum(w) = N, so the sum the free ones must reach is fixed at
-    entry, each step takes the gradient in the free weights only, and the
-    frozen head is weighted once for the whole solve. The full-pair
-    mask is shared between calls. ``telemetry``, when given, receives
-    (step, objective, weights) after each projection.
+    Banks of width ``q`` for all d dimensions (``sample_banks``; identity
+    maps when ``linear``), then the ``pair_fraction`` of the dimensions to
+    pair up (the stream ``sample_pairs`` would use), are drawn once at
+    entry from ``seed``. Only those K dimensions are mapped and scored:
+    z's columns and banks are sliced to them, and every pair among them is
+    scored with the shared all-pairs mask of K, so the solve costs what a
+    full one on K dimensions would. The settings are used as given
+    (``harness.TrainConfig`` checks them). A ``w0`` of the wrong shape
+    raises ValueError, a non-finite one OptimizationError. The first
+    ``frozen`` weights (the stored groups of a memory batch) are held as
+    constants, and a count outside [0, N] raises ValueError; the
+    projection rescales only the rest while the full vector keeps
+    sum(w) = N, so the sum the free ones must reach is fixed at entry,
+    each step takes the gradient in the free weights only, and the frozen
+    head is weighted once for the whole solve. ``telemetry``, when given,
+    receives (step, objective, weights) after each projection.
 
     ``work``, an object whose ``take(role, rows, cols)`` returns a reused
     [rows × cols] array (such as an ``encoder.Workspace``), holds the
-    maps, the mask and every per-step block, so a solve no larger than an
+    kept columns, their banks, the maps and every per-step block (the mask
+    is shared between calls, read-only), so a solve no larger than an
     earlier one allocates nothing of its size. They are valid until the
     workspace's next use; the returned weights are always a fresh array.
     """
@@ -384,9 +421,12 @@ def optimize_weights(z, w0, *, steps: int, lr_w: float, l2_lambda: float,
     w = w.copy()
     rng = np.random.default_rng(seed)
     q = 1 if linear else q
-    fg = _maps(z, None if linear else sample_banks(d, q, rng), work)
-    mask = (_full_mask(d, q) if pair_fraction == 1.0
-            else _mask(*_pair_index(d, pair_fraction, rng), d, q, work))
+    banks = None if linear else sample_banks(d, q, rng)
+    dims = _kept_dims(d, pair_fraction, rng)
+    if dims.size < d:
+        z, banks = _columns(z, banks, dims, work)
+    fg = _maps(z, banks, work)
+    mask = _full_mask(dims.size, q)
     target = _free_target(w, float(n), frozen)
     problem = _Problem(fg, mask, l2_lambda, head=w[:frozen], work=work)
 

@@ -264,22 +264,29 @@ def test_optimize_weights_in_a_reused_workspace_matches_fresh_buffers():
 
 def test_a_warmed_memory_solve_allocates_nothing_of_its_size():
     z, w0, frozen = _stream_case("memory")
-    q = 3
-    settings = dict(steps=5, lr_w=0.05, l2_lambda=0.1, q=q, pair_fraction=1.0,
-                    seed=19, frozen=frozen, work=Workspace())
-    tracemalloc.start()
-    try:
-        dc.optimize_weights(z, w0, **settings)  # grows the workspace
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        dc.optimize_weights(z, w0, **settings)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # Nothing as large as the [N × 2·d·q] map block may be allocated, so
-    # the peak rises by less than one. numpy's own iterator buffers, at
-    # most 8192 entries each, are what remains.
-    assert peak - before < z.size * 2 * q * 8
+    for fraction in (1.0, 0.5):
+        for linear in (False, True):
+            q = 1 if linear else 3
+            settings = dict(steps=5, lr_w=0.05, l2_lambda=0.1, q=q,
+                            pair_fraction=fraction, seed=19, frozen=frozen,
+                            linear=linear, work=Workspace())
+            tracemalloc.start()
+            try:
+                dc.optimize_weights(z, w0, **settings)  # grows the workspace
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                dc.optimize_weights(z, w0, **settings)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # Nothing as large as the [N × 2·K·q] map block of the K kept
+            # dimensions may be allocated, so the peak rises by less than
+            # one. numpy's own iterator buffers, at most 8192 entries each,
+            # are what remains; at fraction 0.5 they leave less than the
+            # [N × K] column slice free under the bound, so a fresh slice
+            # would show too.
+            kept = dc.dims_kept(z.shape[1], fraction)
+            assert peak - before < len(z) * 2 * kept * q * 8, (fraction, linear)
 
 
 def _reference_objective(w, f, g, mask, l2_lambda):
@@ -375,6 +382,61 @@ def test_workspace_matches_the_reference_objective_bit_for_bit(n, frozen, d, q,
     for _ in range(2):
         _check_workspace_solve(work, z, fields, mask, draws, frozen or n // 3)
         _check_workspace_solve(work, *other, head_rows=7)
+
+
+@pytest.mark.parametrize("maps, q", [("rff", 1), ("rff", 3), ("identity", 1)])
+@pytest.mark.parametrize("layout", [4, "memory"])
+def test_kept_dimensions_match_the_full_width_mask(maps, q, layout):
+    # A solve maps and scores only the dimensions its pairs name, and so do
+    # the public pieces; dropping the all-zero rows and columns of the mask
+    # regroups the sums, so they agree with the full-width problem to
+    # rounding, not bit for bit.
+    z, w0, frozen = _stream_case(layout)
+    n, d = z.shape
+    rng = np.random.default_rng(53)
+    banks = None if maps == "identity" else dc.sample_banks(d, q, rng)
+    w = np.concatenate([w0[:frozen], rng.uniform(0.2, 3.0, n - frozen)])
+
+    def full_width(pairs):
+        rows, cols = np.array(pairs).T
+        problem = dc._Problem(dc._maps(z, banks), dc._mask(rows, cols, d, q),
+                              0.1, head=w[:frozen])
+        return problem(w, True)
+
+    def assert_close(got_obj, got_grad, want_obj, want_grad):
+        assert math.isclose(got_obj, want_obj, rel_tol=1e-12)
+        assert np.abs(got_grad - want_grad).max() <= 1e-12 * np.abs(want_grad).max()
+
+    # the solve's problem: the kept dimensions of a sampled stream, every
+    # pair among them, the frozen head weighted once, the free rows' gradient
+    dims = dc._kept_dims(d, 0.5, np.random.default_rng(7))
+    kept = dc._Problem(dc._maps(*dc._columns(z, banks, dims)),
+                       dc._full_mask(dims.size, q), 0.1, head=w[:frozen])
+    assert_close(*kept(w, True), *full_width(dc.sample_pairs(d, 0.5, 7)))
+
+    # the public pieces, on the sampled pairs and on a list that skips
+    # dimensions without pairing all of those it names
+    for pairs in (dc.sample_pairs(d, 0.5, 7), [(0, 2), (2, d - 1)]):
+        want_obj, want_grad = full_width(pairs)
+        got_obj = (dc.decorrelation_objective(z, w, banks, pairs)
+                   + 0.1 * float(w @ w))
+        got_grad = dc.objective_grad_weights(z, w, banks, pairs, 0.1)[frozen:]
+        assert_close(got_obj, got_grad, want_obj, want_grad)
+
+
+def test_a_sampled_solve_maps_only_its_kept_dimensions(monkeypatch):
+    z, w0, frozen = _stream_case("memory")
+    mapped = []
+    real_maps = dc._maps
+
+    def spy(cols, fields, work=None):
+        mapped.append(cols.shape)
+        return real_maps(cols, fields, work)
+
+    monkeypatch.setattr(dc, "_maps", spy)
+    for fraction in (0.5, 1.0):
+        _solve(z, w0, pair_fraction=fraction, frozen=frozen, steps=2, q=3)
+    assert mapped == [(96, 32), (96, 64)]
 
 
 @pytest.mark.parametrize("q", [1, 3])
