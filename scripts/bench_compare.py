@@ -32,6 +32,19 @@ are recorded for both processes (``gen_wall_s``, ``gen_peak_rss_mb``;
 accuracies can be compared, and each round records whether the two
 generated files are byte-identical (``gen_files_identical``).
 
+``--tier1-rounds N`` also runs N alternating rounds of the Tier-1 suite,
+``python3 -m pytest -q --continue-on-collection-errors``, in each checkout
+with its ``src/`` on ``PYTHONPATH`` and ``OPENBLAS_NUM_THREADS=1``, under
+``--durations=0 --durations-min=0`` so that every test's phases are
+timed. Each run records the suite's wall time (``wall_s``), its outcome
+counts from pytest's last line (``passed``, ``failed``, ...), the tests it
+lists as FAILED or ERROR, and its ten slowest phases. The summary gives
+each side's median and quartiles of the wall time and the counts, and of
+every phase among any run's ten slowest (``slowest``, keyed by phase and
+test id; None when a run lacks it), and says whether every run of both
+sides failed the same tests (``same_failures``). A failing test does not
+stop the rounds; a pytest that exits for any other reason does.
+
 The output JSON holds every run in the order it was made, and per workload
 and metric the median and quartiles of each side, the share of pairs the
 change won (``change_better_pairs``; a tie counts for neither side), the
@@ -72,12 +85,22 @@ import time
 import numpy as np
 
 # the direction of the metrics BENCHMARK.json does not list
-LOCAL = {"bodies": {"better": "higher", "bound": None}}
+LOCAL = {"bodies": {"better": "higher", "bound": None},
+         "passed": {"better": "higher", "bound": None}}
 # "<workload>: N samples of wall_s: ..." (traced runs: (un)traced_wall_s)
 SAMPLES = re.compile(r": (\d+) samples of (?:untraced_|traced_)?wall_s:")
 LARGE_GEN = ["gen", "--count", "48", "--min-nodes", "2000",
              "--max-nodes", "3000", "--seed", "0"]
 LARGE_TRAIN = ["split_max_nodes=2500", "epochs=2"]
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors",
+         "--durations=0", "--durations-min=0"]
+# pytest's last line, "1 failed, 310 passed in 65.02s (0:01:05)"
+OUTCOME = re.compile(r"(\d+) (passed|failed|errors?|skipped|xfailed|xpassed"
+                     r"|deselected|warnings?)\b")
+# "15.40s call     tests/test_acceptance.py::test_criterion_03_..."
+DURATION = re.compile(r"^(\d+\.\d+)s (setup|call|teardown) +(\S.*)$",
+                      re.MULTILINE)
+RED = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)
 
 
 def _stats(values) -> dict:
@@ -136,9 +159,10 @@ def _summary(pairs, names, rules) -> dict:
     return out
 
 
-def _wait(argv, checkout, env=None):
+def _wait(argv, checkout, env=None, allowed=(0,)):
     """Run one process in ``checkout`` to its end; (wall s, its ``wait4``
-    resource usage, stdout). A nonzero exit raises with its stderr tail."""
+    resource usage, stdout). An exit status outside ``allowed`` raises
+    with its stderr tail."""
     with tempfile.TemporaryFile("w+") as out, \
             tempfile.TemporaryFile("w+") as err:
         start = time.perf_counter()
@@ -147,7 +171,7 @@ def _wait(argv, checkout, env=None):
         _, status, usage = os.wait4(proc.pid, 0)
         wall = time.perf_counter() - start
         proc.returncode = os.waitstatus_to_exitcode(status)
-        if proc.returncode:
+        if proc.returncode not in allowed:
             err.seek(0)
             raise RuntimeError(f"{' '.join(argv[1:])} exited "
                                f"{proc.returncode}: {err.read()[-2000:]}")
@@ -187,6 +211,23 @@ def _cli(checkout, args) -> tuple[float, float, str]:
     return wall, usage.ru_maxrss / 1024, text
 
 
+def _tier1(checkout) -> dict:
+    """One Tier-1 run in ``checkout`` under one BLAS thread: its wall time,
+    outcome counts, red tests and every timed phase. pytest exits 1 when a
+    test fails, which is a result; any other nonzero exit raises."""
+    env = {**os.environ, "PYTHONPATH": os.path.join(checkout, "src"),
+           "PYTHONDONTWRITEBYTECODE": "1", "OPENBLAS_NUM_THREADS": "1"}
+    wall, _, text = _wait([sys.executable, *TIER1], checkout, env,
+                          allowed=(0, 1))
+    counts = {kind: int(n)
+              for n, kind in OUTCOME.findall(text.splitlines()[-1])}
+    phases = {f"{phase} {test}": float(sec)
+              for sec, phase, test in DURATION.findall(text)}
+    return {"wall_s": wall, "passed": counts.get("passed", 0),
+            "failed": counts.get("failed", 0), "counts": counts,
+            "red": sorted(RED.findall(text)), "phases": phases}
+
+
 def _counts(spec: list[str]) -> dict:
     return {w: int(n) for w, n in (s.split("=") for s in spec)}
 
@@ -202,6 +243,7 @@ def main(argv=None) -> int:
     parser.add_argument("--trace-pairs", action="append", default=[],
                         help="WORKLOAD=N alternating --trace 1 pairs")
     parser.add_argument("--large-rounds", type=int, default=0)
+    parser.add_argument("--tier1-rounds", type=int, default=0)
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
     sides = {"parent": os.path.abspath(args.parent),
@@ -276,6 +318,33 @@ def main(argv=None) -> int:
                 "gen_files_identical": all(identical),
                 **_summary(rounds, ["gen_wall_s", "gen_peak_rss_mb",
                                     "wall_s", "peak_rss_mb"], rules)}
+
+    if args.tier1_rounds:
+        rounds = []
+        for rnd in range(1, args.tier1_rounds + 1):
+            first = ("parent", "change") if rnd % 2 else ("change", "parent")
+            got = {}
+            for side in first:
+                got[side] = _tier1(sides[side])
+                phases = got[side]["phases"]
+                runs.append({"side": side, "round": rnd, "workload": "tier1",
+                             **{k: v for k, v in got[side].items()
+                                if k != "phases"},
+                             "slowest": {k: phases[k] for k in sorted(
+                                 phases, key=phases.get, reverse=True)[:10]}})
+                print(f"tier1 round {rnd} {side}: {got[side]['wall_s']:.1f} s "
+                      f"{got[side]['counts']}", file=sys.stderr)
+            rounds.append((got["parent"], got["change"]))
+        slow = sorted({k for r in runs if r["workload"] == "tier1"
+                       for k in r["slowest"]})
+        result["summary"]["tier1"] = {
+            "command": "OPENBLAS_NUM_THREADS=1 python3 " + " ".join(TIER1),
+            "same_failures": len({tuple(r["red"]) for pair in rounds
+                                  for r in pair}) == 1,
+            **_summary(rounds, ["wall_s", "passed", "failed"], rules),
+            "slowest": _summary([tuple({k: r["phases"].get(k)
+                                        for k in slow} for r in pair)
+                                 for pair in rounds], slow, rules)}
 
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1)

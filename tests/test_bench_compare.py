@@ -2,8 +2,12 @@
 rule with the directions and bounds that BENCHMARK.json declares."""
 
 import importlib.util
+import json
+import shutil
 import types
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -70,3 +74,58 @@ def test_process_counters_come_from_one_rusage_in_total_and_per_body():
                           ["process_stime_s"], rules)["process_stime_s"]
     assert summary["change_better_pairs"] == "1/1"
     assert summary["bound"] is None
+
+
+# pytest's output as the Tier-1 rounds read it; the stub refuses to run
+# unless it was given one BLAS thread
+STUB = """import os, sys
+if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
+    sys.exit(3)
+print("..F.")
+print("=========== slowest durations ===========")
+print("2.50s call     tests/test_a.py::test_slow[a b]")
+print("0.40s setup    tests/test_a.py::test_slow[a b]")
+print("0.01s call     tests/test_b.py::test_red")
+print("======== short test summary info ========")
+print("FAILED tests/test_b.py::test_red - AssertionError: no")
+print("1 failed, 3 passed in 2.91s")
+sys.exit(1)
+"""
+
+
+def test_tier1_rounds_alternate_and_summarize_each_side(tmp_path, monkeypatch):
+    bc = load_script()
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        shutil.copy(ROOT / "BENCHMARK.json", tmp_path / side)
+        (tmp_path / side / "stub.py").write_text(STUB)
+    monkeypatch.setattr(bc, "TIER1", ["stub.py"])
+    out = tmp_path / "bench.json"
+    assert bc.main(["--parent", str(tmp_path / "parent"), "--change",
+                    str(tmp_path / "change"), "--seed", "0",
+                    "--tier1-rounds", "3", "--out", str(out)]) == 0
+    got = json.loads(out.read_text())
+    runs = [r for r in got["runs"] if r["workload"] == "tier1"]
+    assert [(r["round"], r["side"]) for r in runs] == [
+        (1, "parent"), (1, "change"), (2, "change"), (2, "parent"),
+        (3, "parent"), (3, "change")]
+    # a failing test is a result, recorded with the counts
+    assert runs[0]["counts"] == {"failed": 1, "passed": 3}
+    assert runs[0]["red"] == ["tests/test_b.py::test_red"]
+    slow = "call tests/test_a.py::test_slow[a b]"
+    assert runs[0]["slowest"] == {slow: 2.5,
+                                  "setup tests/test_a.py::test_slow[a b]": 0.4,
+                                  "call tests/test_b.py::test_red": 0.01}
+    summary = got["summary"]["tier1"]
+    assert summary["same_failures"] is True
+    assert summary["passed"]["parent"]["median"] == 3
+    assert summary["failed"]["change"]["median"] == 1
+    assert summary["wall_s"]["bound"] == 0.25
+    assert summary["wall_s"]["parent"]["n"] == 3
+    assert summary["slowest"][slow]["change"]["median"] == 2.5
+    assert summary["slowest"][slow]["change_better_pairs"] == "0/3"
+
+    # a pytest that stops for any other reason stops the rounds
+    monkeypatch.setattr(bc, "TIER1", ["-c", "raise SystemExit(2)"])
+    with pytest.raises(RuntimeError, match="exited 2"):
+        bc._tier1(str(tmp_path / "parent"))

@@ -289,6 +289,40 @@ def test_a_warmed_memory_solve_allocates_nothing_of_its_size():
             assert peak - before < len(z) * 2 * kept * q * 8, (fraction, linear)
 
 
+@pytest.mark.parametrize("layout", ["memory", 0, 4])
+def test_a_solve_never_writes_its_inputs(layout):
+    # Every input is read-only, so a write into one raises. The solve and
+    # the public pieces write only buffers of their own or of a workspace,
+    # and a problem reads its map block and never writes it, which the
+    # gradient's products on views of that block rely on.
+    z, w0, frozen = _stream_case(layout)
+    n, d = z.shape
+    banks = dc.sample_banks(d, 3, 29)
+    w = np.concatenate([w0[:frozen], np.linspace(0.5, 1.5, n - frozen)])
+    for array in (z, w0, banks, w):
+        array.setflags(write=False)
+    for linear in (False, True):
+        for fraction in (1.0, 0.5):
+            for work in (None, Workspace()):
+                dc.optimize_weights(z, w0, steps=3, lr_w=0.05, l2_lambda=0.1,
+                                    q=1 if linear else 3, pair_fraction=fraction,
+                                    seed=23, frozen=frozen, linear=linear,
+                                    work=work)
+    pairs = dc.sample_pairs(d, 0.5, 29)
+    for maps in (banks, None):
+        dc.decorrelation_objective(z, w, maps, pairs)
+        dc.objective_grad_weights(z, w, maps, pairs, 0.1)
+    dc.weighted_partial_cov(z[:, 0], z[:, 1], w, banks[0][0], banks[1][1])
+    dc.weighted_partial_cov(z[:, 0], z[:, 1], w, None, None)
+    dc.project_weights(w, frozen=frozen)
+    fg = dc._maps(z, banks)
+    fg.setflags(write=False)
+    problem = dc._Problem(fg, dc._full_mask(d, 3), 0.1, head=w[:frozen],
+                          work=Workspace())
+    problem(w, True)
+    problem(w, False)
+
+
 def _reference_objective(w, f, g, mask, l2_lambda):
     """The per-step objective and gradient as first written: fresh centred
     blocks, a masked copy of C and one product per gradient term."""
@@ -349,10 +383,11 @@ def _check_workspace_solve(work, z, fields, mask, draws, head_rows):
 ])
 def test_workspace_matches_the_reference_objective_bit_for_bit(n, frozen, d, q,
                                                                fraction, linear):
-    # The stacked product [F; A] @ C must give the rows the two separate
-    # products give, and a problem whose leading rows are frozen must give
-    # the free rows' entries. BLAS libraries do not promise that a row's
-    # result is independent of the row count, so it is pinned on workload
+    # The products F @ C and A @ C, each taken on a view of its block's free
+    # rows, must give the rows the full products give, and a problem whose
+    # leading rows are frozen must give the free rows' entries. BLAS
+    # libraries do not promise that a row's result is independent of the
+    # row count or of the operand's row stride, so it is pinned on workload
     # shapes, for the free tail of a memory batch.
     rng = np.random.default_rng(47)
     z, fields, mask, draws = _objective_case(rng, n, frozen, d, q, fraction,
